@@ -30,8 +30,8 @@ int main() {
               config.profile.name.c_str());
 
   fl::FlSimulationResult results[2];
-  const fl::ControllerKind kinds[2] = {fl::ControllerKind::kBofl,
-                                       fl::ControllerKind::kPerformant};
+  const core::ControllerKind kinds[2] = {core::ControllerKind::kBofl,
+                                         core::ControllerKind::kPerformant};
   for (int k = 0; k < 2; ++k) {
     config.controller = kinds[k];
     fl::FederatedSimulation simulation(agx, config);

@@ -23,7 +23,7 @@ int main() {
   config.shard_examples = 512;
   config.deadline_policy = fl::DeadlinePolicyKind::kAdaptiveSlack;
   config.dropout_probability = 0.08;
-  config.controller = fl::ControllerKind::kBofl;
+  config.controller = core::ControllerKind::kBofl;
   config.seed = 424242;
 
   std::printf(

@@ -108,6 +108,8 @@ class BoflController final : public PaceController {
   [[nodiscard]] Seconds sim_time() const override { return clock_.now(); }
 
   [[nodiscard]] Phase phase() const { return phase_; }
+  /// The options this controller runs with (after any factory tuning).
+  [[nodiscard]] const BoflOptions& options() const { return options_; }
   [[nodiscard]] const bo::MboEngine& engine() const { return engine_; }
   /// Guardian drift inflation: 1 when the latest x_max reading matches its
   /// history, larger (up to drift_guard_cap) while a regression detected at

@@ -8,11 +8,8 @@
 #include "common/error.hpp"
 #include "fleet/event_queue.hpp"
 #include "core/bofl_controller.hpp"
-#include "core/linear_controller.hpp"
-#include "core/oracle_controller.hpp"
-#include "core/performant_controller.hpp"
 #include "faults/fault_injector.hpp"
-#include "priors/knowledge_store.hpp"
+#include "priors/handshake.hpp"
 #include "runtime/thread_pool.hpp"
 #include "telemetry/run_recorder.hpp"
 
@@ -26,20 +23,6 @@ const char* to_string(DeadlinePolicyKind kind) {
       return "static-timeout";
     case DeadlinePolicyKind::kAdaptiveSlack:
       return "adaptive-slack";
-  }
-  return "unknown";
-}
-
-const char* to_string(ControllerKind kind) {
-  switch (kind) {
-    case ControllerKind::kBofl:
-      return "BoFL";
-    case ControllerKind::kPerformant:
-      return "Performant";
-    case ControllerKind::kOracle:
-      return "Oracle";
-    case ControllerKind::kLinear:
-      return "LinearModel";
   }
   return "unknown";
 }
@@ -81,56 +64,9 @@ FederatedSimulation::FederatedSimulation(
                "participants per round must be in [1, num_clients]");
   BOFL_REQUIRE(config_.rounds >= 1, "need at least one round");
   if (config_.share_schedule_cache &&
-      config_.controller == ControllerKind::kBofl) {
+      config_.controller == core::ControllerKind::kBofl) {
     schedule_cache_ = std::make_unique<ilp::ScheduleCache>();
   }
-}
-
-std::unique_ptr<core::PaceController> FederatedSimulation::make_controller(
-    const device::DeviceModel& model, std::uint64_t seed,
-    Seconds round_t_min) const {
-  const device::NoiseModel noise;
-  switch (config_.controller) {
-    case ControllerKind::kBofl: {
-      core::BoflOptions options = config_.bofl_options;
-      options.mbo_cost = core::mbo_cost_for_device(model.name());
-      if (config_.auto_scale_tau) {
-        // Keep the reference measurement duration meaningfully smaller than
-        // a round so small fleet shards can still explore.
-        options.tau = Seconds{std::min(options.tau.value(),
-                                       round_t_min.value() / 8.0)};
-      }
-      auto controller = std::make_unique<core::BoflController>(
-          model, config_.profile, noise, options, seed);
-      // Fleet-shared exploitation memo (bit-identical; see config docs).
-      controller->set_schedule_cache(schedule_cache_.get());
-      if (config_.knowledge != nullptr) {
-        // Knowledge-plane admission: seed this client from its cluster's
-        // shared prior (may downgrade or decline — see KnowledgeStore).
-        const priors::KnowledgeStore::Admission admission =
-            config_.knowledge->admit(
-                priors::ClusterKey::of(model, config_.profile),
-                config_.prior_policy);
-        if (admission.snapshot != nullptr) {
-          controller->apply_prior(
-              admission.snapshot->make_seed(
-                  config_.knowledge->options().max_verify_ids),
-              admission.policy);
-        }
-      }
-      return controller;
-    }
-    case ControllerKind::kPerformant:
-      return std::make_unique<core::PerformantController>(
-          model, config_.profile, noise, seed);
-    case ControllerKind::kOracle:
-      return std::make_unique<core::OracleController>(model, config_.profile,
-                                                      noise, seed);
-    case ControllerKind::kLinear:
-      return std::make_unique<core::LinearModelController>(
-          model, config_.profile, noise, seed);
-  }
-  BOFL_ASSERT(false, "unreachable controller kind");
 }
 
 FlSimulationResult FederatedSimulation::run() {
@@ -177,10 +113,23 @@ FlSimulationResult FederatedSimulation::run() {
     const Seconds t_min_c =
         model.round_t_min(config_.profile, jobs_per_round);
     client_t_min.push_back(t_min_c);
+    std::unique_ptr<core::PaceController> controller = core::make_controller(
+        config_.controller, model, config_.profile, device::NoiseModel{},
+        config_.bofl_options, config_.seed * 104729 + c, t_min_c);
+    if (auto* bofl = dynamic_cast<core::BoflController*>(controller.get())) {
+      // Fleet-shared exploitation memo (bit-identical; see config docs).
+      bofl->set_schedule_cache(schedule_cache_.get());
+      if (config_.knowledge != nullptr) {
+        // Knowledge-plane admission: seed this client from its cluster's
+        // shared prior (may downgrade or decline — see KnowledgeStore).
+        priors::admit_prior(*config_.knowledge,
+                            priors::ClusterKey::of(model, config_.profile),
+                            config_.prior_policy, *bofl);
+      }
+    }
     clients.push_back(std::make_unique<Client>(
         c, make_shard(config_.seed * 7919 + c, config_.shard_skew), factory,
-        config_.learning_rate, config_.minibatch_size,
-        make_controller(model, config_.seed * 104729 + c, t_min_c)));
+        config_.learning_rate, config_.minibatch_size, std::move(controller)));
   }
   // Deadline floor when every client could be selected (used by the static
   // timeout policy, which cannot react per cohort).
@@ -429,33 +378,20 @@ FlSimulationResult FederatedSimulation::run() {
   // store's merged content is independent of the worker count.  kCold keeps
   // an attached store read-only (the bit-identity contract).
   if (config_.knowledge != nullptr &&
-      config_.prior_policy != priors::PriorPolicy::kCold &&
-      config_.controller == ControllerKind::kBofl) {
+      config_.prior_policy != priors::PriorPolicy::kCold) {
     for (std::size_t c = 0; c < config_.num_clients; ++c) {
       const auto* bofl =
           dynamic_cast<const core::BoflController*>(&clients[c]->controller());
       if (bofl == nullptr) {
         continue;
       }
-      const priors::ClusterKey key =
-          priors::ClusterKey::of(*devices_[c % devices_.size()],
-                                 config_.profile);
-      switch (bofl->prior_state()) {
-        case core::BoflController::PriorState::kVerified:
-        case core::BoflController::PriorState::kAdopted:
-          config_.knowledge->record_outcome(key, true);
-          break;
-        case core::BoflController::PriorState::kDemoted:
-          config_.knowledge->record_outcome(key, false);
-          break;
-        case core::BoflController::PriorState::kNone:
-        case core::BoflController::PriorState::kVerifying:
-          break;
-      }
-      if (bofl->phase() == core::Phase::kExploitation) {
-        config_.knowledge->contribute(key,
-                                      priors::distill(*bofl, config_.rounds));
-      }
+      priors::apply_publish(
+          *config_.knowledge,
+          priors::prepare_publish(
+              *bofl,
+              priors::ClusterKey::of(*devices_[c % devices_.size()],
+                                     config_.profile),
+              config_.rounds));
     }
   }
   return result;

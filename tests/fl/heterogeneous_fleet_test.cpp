@@ -7,6 +7,8 @@
 namespace bofl::fl {
 namespace {
 
+using core::ControllerKind;
+
 FlSimulationConfig mixed_config() {
   FlSimulationConfig config;
   config.num_clients = 6;

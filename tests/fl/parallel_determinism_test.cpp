@@ -9,6 +9,8 @@
 namespace bofl::fl {
 namespace {
 
+using core::ControllerKind;
+
 FlSimulationConfig fleet_config(std::size_t threads) {
   FlSimulationConfig config;
   config.num_clients = 8;

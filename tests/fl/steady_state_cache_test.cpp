@@ -13,6 +13,8 @@
 namespace bofl::fl {
 namespace {
 
+using core::ControllerKind;
+
 FlSimulationConfig base_config() {
   FlSimulationConfig config;
   config.num_clients = 4;

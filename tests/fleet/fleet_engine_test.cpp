@@ -77,9 +77,9 @@ TEST(FleetEngine, OracleEntriesNeverCostMoreThanPerformant) {
   FleetConfig oracle = tiny_config();
   oracle.cohort_fraction = 1.0;
   oracle.rounds = 8;
-  oracle.controller = FleetControllerKind::kOracle;
+  oracle.controller = core::ControllerKind::kOracle;
   FleetConfig performant = oracle;
-  performant.controller = FleetControllerKind::kPerformant;
+  performant.controller = core::ControllerKind::kPerformant;
   FleetEngine oracle_engine(oracle);
   FleetEngine performant_engine(performant);
   (void)oracle_engine.run();

@@ -88,9 +88,9 @@ TEST(EndToEnd, FleetSimulationSavesEnergyWithoutHurtingAccuracy) {
   base.seed = 777;
 
   fl::FlSimulationConfig bofl_config = base;
-  bofl_config.controller = fl::ControllerKind::kBofl;
+  bofl_config.controller = core::ControllerKind::kBofl;
   fl::FlSimulationConfig perf_config = base;
-  perf_config.controller = fl::ControllerKind::kPerformant;
+  perf_config.controller = core::ControllerKind::kPerformant;
 
   fl::FederatedSimulation bofl_sim(agx, bofl_config);
   fl::FederatedSimulation perf_sim(agx, perf_config);
