@@ -204,9 +204,6 @@ class FleetEngine {
   Telemetry tel_;
   /// Absolute round cursor: the next round index run() will execute.
   std::int64_t next_round_ = 0;
-  /// Per-cluster needed trajectory depth for the upcoming round, folded
-  /// from the shards' per-cluster maxima (scratch, sized to clusters_).
-  std::vector<std::uint32_t> needed_depth_;
   /// Lifetime wall-time accumulators behind FleetResult's split: run()
   /// snapshots them on entry and reports the deltas, so stepped runs
   /// attribute time to the call that spent it.
