@@ -7,8 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
 
 namespace bofl::device {
+
+// Prints a parameter as its profile name.  Without it gtest byte-dumps the
+// struct, whose std::string holds a heap pointer, so the discovered test
+// names would change from build to build.
+void PrintTo(const WorkloadProfile& profile, std::ostream* os) {
+  *os << profile.name;
+}
+
 namespace {
 
 class PaperWorkloads : public ::testing::TestWithParam<WorkloadProfile> {};
