@@ -182,12 +182,17 @@ std::vector<std::size_t> MboEngine::propose_batch(std::size_t batch_size) {
                                0 ||
                            !warm_fit1_.has_value() || !warm_fit2_.has_value();
   ++hyperopt_fits_;
-  const gp::HyperoptResult h1 = gp::fit_hyperparameters(
-      options_.kernel_family, inputs, z1, rng_, options_.hyperopt,
-      full_search ? nullptr : &*warm_fit1_);
-  const gp::HyperoptResult h2 = gp::fit_hyperparameters(
-      options_.kernel_family, inputs, z2, rng_, options_.hyperopt,
-      full_search ? nullptr : &*warm_fit2_);
+  // Both GPs' restarts run as one parallel region; the fits and the draws
+  // from rng_ equal fitting GP 1 and then GP 2.
+  const gp::HyperoptProblem problems[] = {
+      {options_.kernel_family, inputs, z1,
+       full_search ? nullptr : &*warm_fit1_},
+      {options_.kernel_family, inputs, z2,
+       full_search ? nullptr : &*warm_fit2_}};
+  const std::vector<gp::HyperoptResult> fits =
+      gp::fit_hyperparameters(problems, rng_, options_.hyperopt, pool_);
+  const gp::HyperoptResult& h1 = fits[0];
+  const gp::HyperoptResult& h2 = fits[1];
   warm_fit1_ = h1;
   warm_fit2_ = h2;
   gp::GaussianProcess gp1(h1.kernel, h1.noise_variance);

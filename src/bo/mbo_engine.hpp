@@ -93,10 +93,12 @@ class MboEngine {
   /// unobserved candidates left).  Requires >= 3 observations.
   [[nodiscard]] std::vector<std::size_t> propose_batch(std::size_t batch_size);
 
-  /// Score candidates on `pool` (non-owning; nullptr = serial, the
-  /// default).  Per-candidate acquisition values are independent — RNG
-  /// draws (Thompson) are pre-split per candidate and the greedy argmax
-  /// stays serial — so batches are bit-identical for any pool size.
+  /// Fit hyperparameters and score candidates on `pool` (non-owning;
+  /// nullptr = serial, the default).  Hyperopt restart starts are drawn
+  /// before the restarts run, per-candidate acquisition values are
+  /// independent — RNG draws (Thompson) are pre-split per candidate — and
+  /// every argmax stays serial, so batches are bit-identical for any pool
+  /// size.
   void set_parallel_pool(runtime::ThreadPool* pool) { pool_ = pool; }
 
   /// Pareto front of the raw observations.
@@ -128,7 +130,7 @@ class MboEngine {
     return observations_;
   }
 
-  /// The attached scoring pool (non-owning; nullptr = serial).  Lets a
+  /// The attached pool (non-owning; nullptr = serial).  Lets a
   /// consumer rebuild an engine (priors demotion) and re-attach the pool.
   [[nodiscard]] runtime::ThreadPool* parallel_pool() const { return pool_; }
 

@@ -93,10 +93,10 @@ class ClusterEngine {
   /// the byte stream serial extension used to emit inline.
   void flush_fault_events();
 
-  /// Hand the canonical controller a pool for its GP/EHVI inner loops.
-  /// Survives switch_workload (re-applied when the controller is rebuilt).
-  /// When control-plane extension itself runs on pool workers,
-  /// parallel_for_each detects re-entry and runs those inner loops inline —
+  /// Hand the canonical controller a pool for its hyperopt/GP/EHVI inner
+  /// loops.  Survives switch_workload (re-applied when the controller is
+  /// rebuilt).  When control-plane extension itself runs on a pool worker,
+  /// those inner loops share their items with whichever workers are idle —
   /// same bits either way.
   void set_parallel_pool(runtime::ThreadPool* pool);
 

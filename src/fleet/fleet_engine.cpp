@@ -325,9 +325,9 @@ std::uint64_t FleetEngine::soa_bytes() const {
 FleetResult FleetEngine::run() {
   runtime::ThreadPool pool(config_.threads);
   // Hand the pool to every canonical controller for the duration of this
-  // call (it is stack-local): GP/EHVI inner loops fan out when extension
-  // runs on the round-loop thread, and run inline (parallel_for_each's
-  // re-entry guard) when extension itself runs on a worker.
+  // call (it is stack-local): hyperopt/GP/EHVI inner loops fan out wherever
+  // extension runs — on the round-loop thread or on a worker — and their
+  // queued helpers go to whichever workers are idle.
   for (const std::unique_ptr<ClusterEngine>& cluster : clusters_) {
     cluster->set_parallel_pool(&pool);
   }

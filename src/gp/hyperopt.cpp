@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/optim.hpp"
@@ -54,76 +55,111 @@ struct ParamCodec {
 
 }  // namespace
 
+std::vector<HyperoptResult> fit_hyperparameters(
+    std::span<const HyperoptProblem> problems, Rng& rng,
+    const HyperoptOptions& options, runtime::ThreadPool* pool) {
+  const double default_noise = 1e-4;
+  NelderMeadOptions full_nm;
+  full_nm.max_iterations = options.max_iterations_per_start;
+  NelderMeadOptions warm_nm;
+  warm_nm.max_iterations = options.warm_start_max_iterations;
+  warm_nm.initial_step = options.warm_start_step;
+
+  // Plan: one Nelder–Mead run per restart (per problem on the warm path),
+  // every start drawn here, serially, in the order the serial loops drew.
+  struct Run {
+    std::size_t problem;
+    std::vector<double> start;
+    NelderMeadResult result;
+  };
+  std::vector<ParamCodec> codecs;
+  std::vector<Run> runs;
+  codecs.reserve(problems.size());
+  for (std::size_t p = 0; p < problems.size(); ++p) {
+    const HyperoptProblem& problem = problems[p];
+    BOFL_REQUIRE(!problem.inputs.empty(), "hyperparameter fitting needs data");
+    BOFL_REQUIRE(problem.inputs.size() == problem.targets.size(),
+                 "inputs and targets must have equal length");
+    const std::size_t dim = problem.inputs.front().size();
+    const ParamCodec& codec =
+        codecs.emplace_back(ParamCodec{dim, options.optimize_noise, options});
+    if (problem.warm_start != nullptr) {
+      BOFL_REQUIRE(problem.warm_start->kernel.family() == problem.family &&
+                       problem.warm_start->kernel.lengthscales().size() == dim,
+                   "warm start does not match the kernel family or dimension");
+      runs.push_back({p, codec.encode(*problem.warm_start), {}});
+      continue;
+    }
+    for (std::size_t restart = 0; restart < options.num_restarts; ++restart) {
+      std::vector<double> start(codec.size());
+      if (restart == 0) {
+        // Canonical start: moderate lengthscales, unit signal, small noise.
+        for (std::size_t i = 0; i < dim; ++i) {
+          start[i] = std::log(0.4);
+        }
+        start[dim] = 0.0;
+        if (options.optimize_noise) {
+          start[dim + 1] = std::log(1e-3);
+        }
+      } else {
+        for (std::size_t i = 0; i < dim; ++i) {
+          start[i] = rng.uniform(std::log(options.min_lengthscale),
+                                 std::log(options.max_lengthscale));
+        }
+        start[dim] = rng.uniform(-1.5, 1.5);
+        if (options.optimize_noise) {
+          start[dim + 1] = rng.uniform(std::log(1e-6), std::log(1e-1));
+        }
+      }
+      runs.push_back({p, std::move(start), {}});
+    }
+  }
+
+  // Run: each result lands in its own slot.
+  runtime::parallel_for_each(pool, runs.size(), [&](std::size_t r) {
+    Run& run = runs[r];
+    const HyperoptProblem& problem = problems[run.problem];
+    const ParamCodec& codec = codecs[run.problem];
+    auto negative_lml = [&](const std::vector<double>& p) -> double {
+      GaussianProcess model(codec.decode_kernel(problem.family, p),
+                            codec.decode_noise(p, default_noise));
+      model.condition(problem.inputs, problem.targets);
+      return -model.log_marginal_likelihood();
+    };
+    run.result = nelder_mead(negative_lml, run.start,
+                             problem.warm_start != nullptr ? warm_nm : full_nm);
+  });
+
+  // Reduce in run order: a warm polish is taken as is; a full search keeps
+  // its first strictly best restart.
+  std::vector<const NelderMeadResult*> best(problems.size(), nullptr);
+  std::vector<double> best_value(problems.size(),
+                                 std::numeric_limits<double>::infinity());
+  for (const Run& run : runs) {
+    if (problems[run.problem].warm_start != nullptr ||
+        run.result.f < best_value[run.problem]) {
+      best_value[run.problem] = run.result.f;
+      best[run.problem] = &run.result;
+    }
+  }
+  std::vector<HyperoptResult> results;
+  results.reserve(problems.size());
+  for (std::size_t p = 0; p < problems.size(); ++p) {
+    BOFL_ASSERT(best[p] != nullptr, "hyperopt produced no candidate");
+    results.push_back({codecs[p].decode_kernel(problems[p].family, best[p]->x),
+                       codecs[p].decode_noise(best[p]->x, default_noise),
+                       -best_value[p]});
+  }
+  return results;
+}
+
 HyperoptResult fit_hyperparameters(KernelFamily family,
                                    const std::vector<linalg::Vector>& inputs,
                                    const std::vector<double>& targets,
                                    Rng& rng, const HyperoptOptions& options,
                                    const HyperoptResult* warm_start) {
-  BOFL_REQUIRE(!inputs.empty(), "hyperparameter fitting needs data");
-  BOFL_REQUIRE(inputs.size() == targets.size(),
-               "inputs and targets must have equal length");
-  const std::size_t dim = inputs.front().size();
-  const ParamCodec codec{dim, options.optimize_noise, options};
-  const double default_noise = 1e-4;
-
-  auto negative_lml = [&](const std::vector<double>& p) -> double {
-    GaussianProcess model(codec.decode_kernel(family, p),
-                          codec.decode_noise(p, default_noise));
-    model.condition(inputs, targets);
-    return -model.log_marginal_likelihood();
-  };
-
-  if (warm_start != nullptr) {
-    BOFL_REQUIRE(warm_start->kernel.family() == family &&
-                     warm_start->kernel.lengthscales().size() == dim,
-                 "warm start does not match the kernel family or dimension");
-    NelderMeadOptions nm;
-    nm.max_iterations = options.warm_start_max_iterations;
-    nm.initial_step = options.warm_start_step;
-    const NelderMeadResult run =
-        nelder_mead(negative_lml, codec.encode(*warm_start), nm);
-    return {codec.decode_kernel(family, run.x),
-            codec.decode_noise(run.x, default_noise), -run.f};
-  }
-
-  NelderMeadOptions nm;
-  nm.max_iterations = options.max_iterations_per_start;
-
-  double best_value = std::numeric_limits<double>::infinity();
-  std::vector<double> best_params;
-  for (std::size_t restart = 0; restart < options.num_restarts; ++restart) {
-    std::vector<double> start(codec.size());
-    if (restart == 0) {
-      // Canonical start: moderate lengthscales, unit signal, small noise.
-      for (std::size_t i = 0; i < dim; ++i) {
-        start[i] = std::log(0.4);
-      }
-      start[dim] = 0.0;
-      if (options.optimize_noise) {
-        start[dim + 1] = std::log(1e-3);
-      }
-    } else {
-      for (std::size_t i = 0; i < dim; ++i) {
-        start[i] = rng.uniform(std::log(options.min_lengthscale),
-                               std::log(options.max_lengthscale));
-      }
-      start[dim] = rng.uniform(-1.5, 1.5);
-      if (options.optimize_noise) {
-        start[dim + 1] = rng.uniform(std::log(1e-6), std::log(1e-1));
-      }
-    }
-    const NelderMeadResult run = nelder_mead(negative_lml, start, nm);
-    if (run.f < best_value) {
-      best_value = run.f;
-      best_params = run.x;
-    }
-  }
-  BOFL_ASSERT(!best_params.empty(), "hyperopt produced no candidate");
-
-  HyperoptResult result{codec.decode_kernel(family, best_params),
-                        codec.decode_noise(best_params, default_noise),
-                        -best_value};
-  return result;
+  const HyperoptProblem problem{family, inputs, targets, warm_start};
+  return fit_hyperparameters({&problem, 1}, rng, options).front();
 }
 
 bool warm_start_compatible(const HyperoptResult& fit, KernelFamily family,

@@ -7,8 +7,12 @@
 // after phase 1.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "gp/gaussian_process.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace bofl::gp {
 
@@ -39,15 +43,35 @@ struct HyperoptResult {
   double log_marginal_likelihood = 0.0;
 };
 
-/// Fit hyperparameters for `family` kernels on (inputs, targets) and return
-/// the best kernel found.  Inputs are expected normalized to [0,1]^d and
-/// targets standardized (mean 0, unit variance) — the bounds above assume
-/// that scaling.
+/// One GP's hyperparameter search: `family` kernels on (inputs, targets).
+/// Inputs are expected normalized to [0,1]^d and targets standardized
+/// (mean 0, unit variance) — the bounds in HyperoptOptions assume that
+/// scaling.  The referenced data must outlive the fit.
 ///
 /// When `warm_start` is non-null, the multi-start search is replaced by one
 /// short local polish seeded at the warm-start's hyperparameters (which must
 /// match `family` and the input dimension).  The warm path draws nothing
-/// from `rng`, so it is bitwise deterministic given the data and the start.
+/// from the Rng, so it is bitwise deterministic given the data and the start.
+struct HyperoptProblem {
+  KernelFamily family;
+  const std::vector<linalg::Vector>& inputs;
+  const std::vector<double>& targets;
+  const HyperoptResult* warm_start = nullptr;
+};
+
+/// Fit every problem and return the best kernel found for each, in order.
+/// All random restart starts are drawn from `rng` up front, problem by
+/// problem and restart by restart, before any Nelder–Mead run; the runs of
+/// every problem then share one parallel_for_each region on `pool`
+/// (nullptr = serial), and each problem keeps its first strictly best run.
+/// The result and the draws from `rng` are therefore bit-identical to
+/// fitting the problems one after another, for any pool size.
+[[nodiscard]] std::vector<HyperoptResult> fit_hyperparameters(
+    std::span<const HyperoptProblem> problems, Rng& rng,
+    const HyperoptOptions& options = {},
+    runtime::ThreadPool* pool = nullptr);
+
+/// Single-problem form of the above, run serially on the caller.
 [[nodiscard]] HyperoptResult fit_hyperparameters(
     KernelFamily family, const std::vector<linalg::Vector>& inputs,
     const std::vector<double>& targets, Rng& rng,

@@ -1,6 +1,7 @@
 #include "priors/knowledge_store.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -313,10 +314,24 @@ KnowledgeStore KnowledgeStore::from_json(const std::string& text,
 }
 
 void KnowledgeStore::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  BOFL_REQUIRE(out.is_open(), "cannot write knowledge store: " + path);
+  // Write a sibling file, then rename it over the store: a crash mid-write
+  // leaves the previous store intact instead of a truncated one.
+  const std::string temp = path + ".tmp";
+  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+  BOFL_REQUIRE(out.is_open(), "cannot write knowledge store: " + temp);
   out << to_json() << '\n';
-  BOFL_REQUIRE(out.good(), "short write to knowledge store: " + path);
+  out.close();
+  std::error_code error;
+  if (out.good()) {
+    std::filesystem::rename(temp, path, error);
+  }
+  if (!out.good() || error) {
+    std::error_code ignored;
+    std::filesystem::remove(temp, ignored);
+  }
+  BOFL_REQUIRE(out.good(), "short write to knowledge store: " + temp);
+  BOFL_REQUIRE(!error, "cannot replace knowledge store " + path + ": " +
+                           error.message());
 }
 
 KnowledgeStore KnowledgeStore::from_file(const std::string& path,

@@ -9,7 +9,7 @@ namespace bofl::runtime {
 namespace {
 
 /// Which pool (if any) owns the current thread.  Lets parallel_for_each
-/// detect re-entrant use from a worker and fall back to inline execution.
+/// count a worker that opens a region as one of the region's threads.
 thread_local const ThreadPool* t_owning_pool = nullptr;
 
 }  // namespace
@@ -67,7 +67,7 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::on_worker_thread() const { return t_owning_pool == this; }
 
-void ThreadPool::enqueue(std::function<void()> task) {
+void ThreadPool::post(std::function<void()> task) {
   std::size_t depth = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -97,7 +97,7 @@ void ThreadPool::worker_loop() {
     }
     if (telemetry_.task_seconds != nullptr) {
       const auto start = std::chrono::steady_clock::now();
-      task();  // packaged_task: exceptions land in the matching future
+      task();  // never throws: submit() wraps a packaged_task
       const std::chrono::duration<double> elapsed =
           std::chrono::steady_clock::now() - start;
       telemetry_.task_seconds->observe(elapsed.count());

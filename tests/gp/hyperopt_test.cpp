@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
+
+#include "runtime/thread_pool.hpp"
 
 namespace bofl::gp {
 namespace {
@@ -169,6 +173,84 @@ TEST(Hyperopt, WarmStartRejectsMismatchedDimension) {
   EXPECT_THROW((void)fit_hyperparameters(KernelFamily::kMatern52, xs, ys,
                                          opt_rng, {}, &wrong_dim),
                std::invalid_argument);
+}
+
+/// The MBO engine's shape: two objectives over one set of 2-D inputs.
+struct TwoObjectives {
+  std::vector<linalg::Vector> xs;
+  std::vector<double> t;
+  std::vector<double> e;
+};
+
+TwoObjectives make_two_objectives(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  TwoObjectives data;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = rng.uniform();
+    const double b = rng.uniform();
+    data.xs.push_back({a, b});
+    data.t.push_back(std::sin(4.0 * a) - b + rng.normal(0.0, 0.05));
+    data.e.push_back(a * b + std::cos(3.0 * b) + rng.normal(0.0, 0.05));
+  }
+  return data;
+}
+
+void expect_bitwise_equal(const HyperoptResult& a, const HyperoptResult& b) {
+  EXPECT_EQ(a.kernel.lengthscales(), b.kernel.lengthscales());
+  EXPECT_EQ(a.kernel.signal_variance(), b.kernel.signal_variance());
+  EXPECT_EQ(a.noise_variance, b.noise_variance);
+  EXPECT_EQ(a.log_marginal_likelihood, b.log_marginal_likelihood);
+}
+
+/// Fits both objectives as one batch on every pool size and checks each
+/// result, and the Rng's next draw, against two sequential single fits.
+void expect_batch_equals_sequential(const TwoObjectives& data,
+                                    const HyperoptResult* warm_t,
+                                    const HyperoptResult* warm_e) {
+  Rng sequential_rng(41);
+  const HyperoptResult seq_t = fit_hyperparameters(
+      KernelFamily::kMatern52, data.xs, data.t, sequential_rng, {}, warm_t);
+  const HyperoptResult seq_e = fit_hyperparameters(
+      KernelFamily::kMatern52, data.xs, data.e, sequential_rng, {}, warm_e);
+  const double next_draw = sequential_rng.uniform();
+
+  for (const std::size_t threads : {0, 1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    std::unique_ptr<runtime::ThreadPool> pool;
+    if (threads > 0) {
+      pool = std::make_unique<runtime::ThreadPool>(threads);
+    }
+    const HyperoptProblem problems[] = {
+        {KernelFamily::kMatern52, data.xs, data.t, warm_t},
+        {KernelFamily::kMatern52, data.xs, data.e, warm_e}};
+    Rng batch_rng(41);
+    const std::vector<HyperoptResult> fits =
+        fit_hyperparameters(problems, batch_rng, {}, pool.get());
+    ASSERT_EQ(fits.size(), 2u);
+    expect_bitwise_equal(fits[0], seq_t);
+    expect_bitwise_equal(fits[1], seq_e);
+    EXPECT_EQ(batch_rng.uniform(), next_draw);
+  }
+}
+
+// The MBO engine fits its two GPs as one parallel region: every restart
+// start is drawn up front in the sequential order and each GP keeps its
+// first strictly best restart, so the batch is bit-identical to fitting
+// the GPs one after another, whatever the pool.
+TEST(Hyperopt, ParallelTwoGpSearchEqualsSequentialFits) {
+  const TwoObjectives data = make_two_objectives(18, 39);
+  expect_batch_equals_sequential(data, nullptr, nullptr);
+}
+
+TEST(Hyperopt, ParallelTwoGpWarmPolishEqualsSequentialFits) {
+  const TwoObjectives data = make_two_objectives(18, 40);
+  Rng rng(42);
+  const HyperoptResult start_t =
+      fit_hyperparameters(KernelFamily::kMatern52, data.xs, data.t, rng);
+  const HyperoptResult start_e =
+      fit_hyperparameters(KernelFamily::kMatern52, data.xs, data.e, rng);
+  const TwoObjectives grown = make_two_objectives(24, 40);
+  expect_batch_equals_sequential(grown, &start_t, &start_e);
 }
 
 }  // namespace

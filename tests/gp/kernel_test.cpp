@@ -99,9 +99,10 @@ TEST(Kernel, CrossCovarianceMatchesPointwise) {
 TEST(Kernel, GramFromAPoolWorkerIsBitwiseEqualToSerial) {
   // The fleet control plane extends clusters ON pool workers, and each
   // cluster's GP fit may hand that same pool to gram().  The row fan-out
-  // must detect the worker thread and run inline (never re-enter the pool)
-  // and the result must stay bitwise equal to the serial product.  Use
-  // enough points to cross gram()'s internal parallel threshold.
+  // then runs on that worker plus whichever workers are idle, never waits
+  // on a queued helper, and the result must stay bitwise equal to the
+  // serial product.  Use enough points to cross gram()'s internal parallel
+  // threshold.
   Rng rng(42);
   const Kernel k(KernelFamily::kMatern52, 1.2, {0.4, 0.4, 0.4});
   std::vector<linalg::Vector> points;
@@ -114,7 +115,7 @@ TEST(Kernel, GramFromAPoolWorkerIsBitwiseEqualToSerial) {
   const linalg::Matrix parallel = k.gram(points, &pool);
   linalg::Matrix from_worker = pool.submit([&]() {
     EXPECT_TRUE(pool.on_worker_thread());
-    return k.gram(points, &pool);  // must run the row loop inline
+    return k.gram(points, &pool);  // a region nested in a submitted task
   }).get();
 
   ASSERT_EQ(serial.rows(), points.size());

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 namespace bofl::priors {
 namespace {
@@ -114,6 +119,43 @@ TEST(KnowledgeStore, JsonRoundTripIsByteStable) {
   const KnowledgeStore from_disk = KnowledgeStore::from_file(path);
   EXPECT_EQ(from_disk.to_json(), json);
   std::remove(path.c_str());
+}
+
+TEST(KnowledgeStore, SaveOverAnExistingStoreMatchesAFreshSave) {
+  // save() writes a sibling file and renames it over the store.  Replacing
+  // a larger store must leave exactly the bytes a fresh save writes, and
+  // no temporary file behind.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "bofl_store_replace";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto read_bytes = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  KnowledgeStore larger;
+  larger.contribute(kKey, snapshot_of({{3, 2.0, 4.0, 1.0}, {7, 2.0, 1.0, 2.0}}));
+  larger.contribute(ClusterKey{"tx2", "lstm"},
+                    snapshot_of({{1, 5.0, 0.125, 0.0625}}));
+  KnowledgeStore smaller;
+  smaller.contribute(kKey, snapshot_of({{3, 2.0, 4.0, 1.0}}));
+
+  const std::filesystem::path replaced = dir / "store.json";
+  const std::filesystem::path fresh = dir / "fresh.json";
+  larger.save(replaced.string());
+  smaller.save(replaced.string());
+  smaller.save(fresh.string());
+  EXPECT_EQ(read_bytes(replaced), read_bytes(fresh));
+  EXPECT_EQ(read_bytes(fresh), smaller.to_json() + "\n");
+
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"fresh.json", "store.json"}));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(KnowledgeStore, EmptySnapshotNeverAdmits) {
