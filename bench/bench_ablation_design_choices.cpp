@@ -121,7 +121,7 @@ int main() {
               "explored");
   for (const std::size_t cap : {1UL, 3UL, 10UL, 20UL}) {
     core::BoflOptions options = base;
-    options.max_batch_size = cap;
+    options.mbo.max_batch_size = cap;
     const RunOutcome out = run_bofl_variant(agx, task, options, rounds);
     std::printf("  %-8zu %12.0f %11.1f%% %10zu\n", cap, out.energy,
                 100.0 * out.hv_coverage, out.explored);

@@ -1,8 +1,7 @@
 // Figure 11: BoFL-constructed Pareto fronts vs the actual (offline-profiled)
 // Pareto fronts on the AGX testbed, per task.  Prints both point series
-// (per-job latency [s], energy [J]) plus coverage statistics, then an A/B
-// of the phase-1 exploration sampler (Sobol vs Halton) on hypervolume
-// coverage.  Writes BENCH_fig11_pareto_fronts.json.
+// (per-job latency [s], energy [J]) plus coverage statistics.  Writes
+// BENCH_fig11_pareto_fronts.json.
 #include <algorithm>
 #include <set>
 
@@ -86,63 +85,8 @@ int main(int argc, char** argv) {
     json_tasks.push_back(std::move(row));
   }
 
-  // A/B: the phase-1 exploration sampler.  Same tasks, same seeds, same
-  // stopping rule — only the quasi-random generator behind the starting
-  // points differs.  Reported as true-front hypervolume coverage and
-  // exploration cost, so the growth per explored configuration is
-  // comparable across samplers.
-  bench::print_header(
-      "Sampler A/B: Sobol vs Halton phase-1 exploration (AGX, ratio 2)");
-  std::printf(
-      "  %-14s | %-6s | %8s | %9s | %8s\n", "task", "qrng", "explored",
-      "hv cov %", "eps");
-  telemetry::JsonValue json_ab = telemetry::JsonValue::array();
-  for (const core::FlTaskSpec& task : core::paper_tasks(agx.name())) {
-    const auto truth = core::true_pareto_profiles(agx, task.profile);
-    std::vector<pareto::Point2> truth_points;
-    for (const auto& p : truth) {
-      truth_points.push_back({p.energy_per_job, p.latency_per_job});
-    }
-    const pareto::Point2 ref{20.0, 3.5};
-    const double hv_truth = pareto::hypervolume_2d(truth_points, ref);
-    for (const core::ExplorationSampler sampler :
-         {core::ExplorationSampler::kSobol,
-          core::ExplorationSampler::kHalton}) {
-      core::BoflOptions options = bench::default_bofl_options(agx);
-      options.exploration_sampler = sampler;
-      core::TaskResult result;
-      const auto controller =
-          bench::run_bofl_only(agx, task, 2.0, result, {}, &options);
-      std::vector<pareto::Point2> constructed;
-      for (std::size_t flat : controller->pareto_flat_ids()) {
-        const device::DvfsConfig config = agx.space().from_flat(flat);
-        constructed.push_back({agx.energy(task.profile, config).value(),
-                               agx.latency(task.profile, config).value()});
-      }
-      const double hv = pareto::hypervolume_2d(constructed, ref);
-      const double eps =
-          pareto::additive_epsilon(constructed, truth_points);
-      const std::size_t explored =
-          controller->engine().num_observed_candidates();
-      std::printf("  %-14s | %-6s | %8zu | %9.1f | %8.3f\n",
-                  task.name.c_str(), core::to_string(sampler), explored,
-                  100.0 * hv / hv_truth, eps);
-      telemetry::JsonValue row = telemetry::JsonValue::object();
-      row.set("task", task.name)
-          .set("sampler", core::to_string(sampler))
-          .set("explored_configs", static_cast<std::uint64_t>(explored))
-          .set("hv_coverage_pct", 100.0 * hv / hv_truth)
-          .set("additive_epsilon", eps);
-      json_ab.push_back(std::move(row));
-    }
-  }
-  std::printf(
-      "\nBoth samplers construct near-identical fronts; the choice is not "
-      "load-bearing for the paper's coverage claim.\n");
-
   telemetry::JsonValue metrics = telemetry::JsonValue::object();
-  metrics.set("tasks", std::move(json_tasks))
-      .set("sampler_ab", std::move(json_ab));
+  metrics.set("tasks", std::move(json_tasks));
   (void)bench::write_bench_json("fig11_pareto_fronts", std::move(metrics));
 
   std::printf(

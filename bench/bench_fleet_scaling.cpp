@@ -15,7 +15,7 @@
 //      re-exploration workload (every cluster task-switches mid-run, so the
 //      per-round GP/EHVI/ILP control plane is the dominant cost), with the
 //      control-plane ms split out from the data-plane ms.  Each parallel
-//      cell's trace hash must match the serial-control-plane reference, and
+//      cell's trace hash must match the threads = 1 reference, and
 //      the serial reference is compared against the committed baseline under
 //      bench/baselines/ (target: >= 3x control-plane speedup at 8 threads on
 //      the 16-cluster workload).
@@ -296,8 +296,8 @@ int main(int argc, char** argv) {
   // back into exploration at round 10) over a 4-device-class mix, so
   // per-round cost is dominated by the canonical controllers' GP/EHVI/ILP
   // work — exactly what the parallel control plane fans out.  The serial
-  // reference (threads=1, --serial-control-plane semantics) anchors both the
-  // in-run speedup and the comparison against the committed baseline.
+  // reference (threads=1) anchors both the in-run speedup and the
+  // comparison against the committed baseline.
   const auto cluster_rounds = flags.get_int("cluster-rounds", 12);
   const std::size_t cluster_clients =
       static_cast<std::size_t>(flags.get_int("cluster-clients", 20'000));
@@ -326,10 +326,9 @@ int main(int argc, char** argv) {
 
   telemetry::JsonValue sweep_rows = telemetry::JsonValue::array();
   for (const std::size_t nclusters : cluster_counts) {
-    const auto make_config = [&](std::size_t threads, bool serial_cp) {
+    const auto make_config = [&](std::size_t threads) {
       fleet::FleetConfig config = fleet_config(
           cluster_clients, cluster_rounds, ratio, 0, threads);
-      config.serial_control_plane = serial_cp;
       config.scenario = faults::make_fleet_scenario("task-switch", 7);
       for (std::size_t c = 0; c < nclusters; ++c) {
         config.clusters.push_back({sweep_devices[c % sweep_devices.size()],
@@ -349,7 +348,7 @@ int main(int argc, char** argv) {
                 "control [ms/rd]", "data [ms/rd]", "speedup", "vs baseline");
 
     // Serial control-plane reference.
-    fleet::FleetEngine reference(make_config(1, true));
+    fleet::FleetEngine reference(make_config(1));
     const fleet::FleetResult ref = reference.run();
     const double rounds_d = static_cast<double>(cluster_rounds);
     const double serial_cp = ref.control_plane_ms / rounds_d;
@@ -372,7 +371,7 @@ int main(int argc, char** argv) {
     }
 
     for (const std::size_t threads : thread_counts) {
-      fleet::FleetEngine engine(make_config(threads, false));
+      fleet::FleetEngine engine(make_config(threads));
       const fleet::FleetResult result = engine.run();
       const bool same = result.trace_hash == ref.trace_hash;
       deterministic = deterministic && same;

@@ -59,13 +59,11 @@ ComparisonResult run_comparison(const device::DeviceModel& model,
 
 std::unique_ptr<core::BoflController> run_bofl_only(
     const device::DeviceModel& model, const core::FlTaskSpec& task,
-    double deadline_ratio, core::TaskResult& result_out, const Seeds& seeds,
-    const core::BoflOptions* options_override) {
+    double deadline_ratio, core::TaskResult& result_out, const Seeds& seeds) {
   const auto rounds =
       core::make_rounds(task, model, deadline_ratio, seeds.deadlines);
   auto controller = std::make_unique<core::BoflController>(
-      model, task.profile, device::NoiseModel{},
-      options_override ? *options_override : default_bofl_options(model),
+      model, task.profile, device::NoiseModel{}, default_bofl_options(model),
       seeds.bofl);
   result_out = core::run_task(*controller, rounds);
   return controller;

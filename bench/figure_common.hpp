@@ -58,13 +58,11 @@ struct ComparisonResult {
                                               const Seeds& seeds = {});
 
 /// Same but keeping the BoFL controller alive for post-hoc inspection
-/// (Pareto fronts, explored sets).  `options_override` replaces
-/// default_bofl_options(model) when non-null — used by A/B sweeps (e.g.
-/// fig11's Sobol-vs-Halton exploration-sampler comparison).
+/// (Pareto fronts, explored sets).
 [[nodiscard]] std::unique_ptr<core::BoflController> run_bofl_only(
     const device::DeviceModel& model, const core::FlTaskSpec& task,
     double deadline_ratio, core::TaskResult& result_out,
-    const Seeds& seeds = {}, const core::BoflOptions* options_override = nullptr);
+    const Seeds& seeds = {});
 
 /// When the BOFL_CSV_DIR environment variable is set, figure benchmarks
 /// additionally export their series as CSV files into that directory

@@ -37,11 +37,8 @@ MboEngine::MboEngine(std::vector<linalg::Vector> candidates,
 }
 
 double MboEngine::transform(double raw) const {
-  if (options_.log_transform) {
-    BOFL_REQUIRE(raw > 0.0, "log-transformed objectives must be positive");
-    return std::log(raw);
-  }
-  return raw;
+  BOFL_REQUIRE(raw > 0.0, "log-transformed objectives must be positive");
+  return std::log(raw);
 }
 
 void MboEngine::add_observation(const MboObservation& obs) {
@@ -49,10 +46,8 @@ void MboEngine::add_observation(const MboObservation& obs) {
                "candidate index out of range");
   BOFL_REQUIRE(std::isfinite(obs.f1) && std::isfinite(obs.f2),
                "objective values must be finite");
-  if (options_.log_transform) {
-    BOFL_REQUIRE(obs.f1 > 0.0 && obs.f2 > 0.0,
-                 "objectives must be positive under the log transform");
-  }
+  BOFL_REQUIRE(obs.f1 > 0.0 && obs.f2 > 0.0,
+               "objectives must be positive under the log transform");
   observations_.push_back(obs);
   if (!observed_[obs.candidate_index]) {
     observed_[obs.candidate_index] = true;

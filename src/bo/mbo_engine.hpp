@@ -3,7 +3,8 @@
 // Owns the discrete candidate set (the DVFS lattice mapped to the unit
 // cube), the observation history, and two independent Gaussian processes —
 // one per objective (latency, energy).  Each propose_batch() call:
-//   1. re-standardizes the (optionally log-transformed) targets,
+//   1. re-standardizes the log-transformed targets (positivity-preserving,
+//      tames the right tail),
 //   2. refits kernel hyperparameters by marginal likelihood,
 //   3. greedily selects K candidates by exact 2-D EHVI, fantasizing each
 //      pick at its posterior mean (Kriging believer) before the next pick.
@@ -38,8 +39,6 @@ enum class AcquisitionKind {
 struct MboOptions {
   gp::KernelFamily kernel_family = gp::KernelFamily::kMatern52;
   AcquisitionKind acquisition = AcquisitionKind::kEhvi;
-  /// Model log-objectives (positivity-preserving, tames the right tail).
-  bool log_transform = true;
   /// Upper bound on one batch (the paper caps at ~10 to bound MBO latency).
   std::size_t max_batch_size = 10;
   /// Escape hatch: run propose_batch on the reference algebra — full O(n^3)

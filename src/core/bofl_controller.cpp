@@ -15,23 +15,37 @@ namespace bofl::core {
 
 namespace {
 
-/// Quasi-random starting points over the DVFS lattice (§4.2): Sobol or
-/// Halton points in the unit cube snapped to grid steps, deduplicated,
-/// x_max excluded (it is always measured first, separately).
-std::deque<std::size_t> sample_starting_points(const device::DvfsSpace& space,
-                                               double fraction,
-                                               ExplorationSampler sampler) {
+/// Fraction of the space sampled as phase-1 starting points (§4.2: ~1 %).
+constexpr double kInitialSampleFraction = 0.01;
+/// Phase-2 stop: explored share of the space must reach this first (~3 %).
+constexpr double kMinExploredFraction = 0.03;
+/// Phase-2 stop: relative per-round hypervolume improvement below this
+/// (§4.3: 1 %).
+constexpr double kHviStopThreshold = 0.01;
+/// Run at least this many Pareto-construction rounds before stopping.
+constexpr std::size_t kMinParetoRounds = 2;
+/// Drift demotion: a fresh per-job latency reading exceeding the config's
+/// aggregate mean by this ratio means the environment changed (thermal
+/// storm, co-runner, governor clamp) — the stale optimistic history is
+/// discarded and the guardian re-armed.  Plain measurement noise (~1 %
+/// CV) never crosses this; only genuine regressions (or injected latency
+/// spikes) do.
+constexpr double kDriftDemoteRatio = 1.25;
+/// Cap on the guardian's drift inflation factor.
+constexpr double kDriftGuardCap = 3.0;
+
+/// Quasi-random starting points over the DVFS lattice (§4.2): Sobol points
+/// in the unit cube snapped to grid steps, deduplicated, x_max excluded (it
+/// is always measured first, separately).
+std::deque<std::size_t> sample_starting_points(
+    const device::DvfsSpace& space) {
   const auto target = static_cast<std::size_t>(std::max(
-      3.0, std::ceil(fraction * static_cast<double>(space.size()))));
+      3.0,
+      std::ceil(kInitialSampleFraction * static_cast<double>(space.size()))));
   const std::vector<std::size_t> sizes = {space.cpu_table().size(),
                                           space.gpu_table().size(),
                                           space.mem_table().size()};
-  SobolSequence sobol(3);
-  HaltonSequence halton(3);
-  QuasiRandomSequence& seq =
-      sampler == ExplorationSampler::kHalton
-          ? static_cast<QuasiRandomSequence&>(halton)
-          : static_cast<QuasiRandomSequence&>(sobol);
+  SobolSequence seq(3);
   std::deque<std::size_t> points;
   std::vector<bool> seen(space.size(), false);
   const std::size_t x_max_flat = space.to_flat(space.max_config());
@@ -51,17 +65,14 @@ std::deque<std::size_t> sample_starting_points(const device::DvfsSpace& space,
   return points;
 }
 
-bo::MboOptions make_engine_options(const BoflOptions& options) {
-  bo::MboOptions mbo = options.mbo;
-  mbo.max_batch_size = options.max_batch_size;
-  return mbo;
+/// Whether the observed share of the candidate set has reached the
+/// phase-2 stop rule's exploration floor.
+bool explored_enough(const bo::MboEngine& engine) {
+  return static_cast<double>(engine.num_observed_candidates()) >=
+         kMinExploredFraction * static_cast<double>(engine.num_candidates());
 }
 
 }  // namespace
-
-const char* to_string(ExplorationSampler sampler) {
-  return sampler == ExplorationSampler::kHalton ? "halton" : "sobol";
-}
 
 BoflController::BoflController(const device::DeviceModel& model,
                                device::WorkloadProfile profile,
@@ -71,19 +82,11 @@ BoflController::BoflController(const device::DeviceModel& model,
       profile_(std::move(profile)),
       options_(options),
       observer_(model_, noise, seed),
-      engine_(model_.space().all_normalized(), make_engine_options(options),
+      engine_(model_.space().all_normalized(), options.mbo,
               seed ^ 0x9E3779B97F4A7C15ULL),
-      pending_(sample_starting_points(model_.space(),
-                                      options.initial_sample_fraction,
-                                      options.exploration_sampler)),
+      pending_(sample_starting_points(model_.space())),
       x_max_flat_(model_.space().to_flat(model_.space().max_config())) {
   BOFL_REQUIRE(options_.tau.value() > 0.0, "tau must be positive");
-  BOFL_REQUIRE(options_.initial_sample_fraction > 0.0,
-               "initial sample fraction must be positive");
-  BOFL_REQUIRE(options_.drift_demote_ratio > 1.0,
-               "drift demote ratio must exceed 1");
-  BOFL_REQUIRE(options_.drift_guard_cap >= 1.0,
-               "drift guard cap must be >= 1");
   // x_max is the very first configuration ever measured (§4.2).
   pending_.push_front(x_max_flat_);
   seed_ = seed;
@@ -118,12 +121,12 @@ device::Measurement BoflController::run_config(RoundState& state,
     if (it != prior_overlay_.end()) {
       const double believed = it->second.mean_latency();
       const bool optimistic_prior =
-          fresh_latency > believed * options_.drift_demote_ratio;
+          fresh_latency > believed * kDriftDemoteRatio;
       const bool pessimistic_prior =
-          fresh_latency * options_.drift_demote_ratio < believed;
+          fresh_latency * kDriftDemoteRatio < believed;
       if (optimistic_prior) {
         drift_factor_ =
-            std::min(options_.drift_guard_cap,
+            std::min(kDriftGuardCap,
                      std::max(drift_factor_, fresh_latency / believed));
       }
       if (optimistic_prior || pessimistic_prior) {
@@ -136,7 +139,7 @@ device::Measurement BoflController::run_config(RoundState& state,
   }
   if (agg.jobs > 0.0) {
     const double prior = agg.mean_latency();
-    if (fresh_latency > prior * options_.drift_demote_ratio) {
+    if (fresh_latency > prior * kDriftDemoteRatio) {
       // Regression: the configuration is genuinely slower than its history
       // claims (throttling storm, co-runner, governor clamp).  A stale
       // optimistic aggregate is exactly what rides the ILP schedule into a
@@ -144,12 +147,12 @@ device::Measurement BoflController::run_config(RoundState& state,
       // define the config — and re-arm the guardian with headroom for the
       // drift still to come.
       agg = Aggregate{};
-      drift_factor_ = std::min(options_.drift_guard_cap,
+      drift_factor_ = std::min(kDriftGuardCap,
                                std::max(drift_factor_, fresh_latency / prior));
       if (telemetry::Registry* reg = telemetry::global_registry()) {
         reg->counter("bofl.aggregate_demotions").add(1);
       }
-    } else if (fresh_latency < prior / options_.drift_demote_ratio) {
+    } else if (fresh_latency < prior / kDriftDemoteRatio) {
       // Suspiciously *fast* reading (flaky sensor garbage, or a large
       // genuine speedup like a storm ending).  Optimism is the dangerous
       // direction — believing it inflates the guardian's perceived budget
@@ -158,12 +161,12 @@ device::Measurement BoflController::run_config(RoundState& state,
       // reading is off.  A genuine speedup converges in a few bounded
       // folds, after which a consistent x_max reading stands the guardian
       // down again; garbage stays fenced off the whole time.
-      drift_factor_ = std::min(options_.drift_guard_cap,
+      drift_factor_ = std::min(kDriftGuardCap,
                                std::max(drift_factor_, prior / fresh_latency));
       if (telemetry::Registry* reg = telemetry::global_registry()) {
         reg->counter("bofl.suspicious_fast_readings").add(1);
       }
-      fresh_latency = prior / options_.drift_demote_ratio;
+      fresh_latency = prior / kDriftDemoteRatio;
     } else {
       if (flat == x_max_flat_ && drift_factor_ > 1.0) {
         // x_max reads consistent with its (possibly demoted) aggregate
@@ -180,13 +183,6 @@ device::Measurement BoflController::run_config(RoundState& state,
     t_x_max_ = Seconds{agg.mean_latency()};
   }
   return m;
-}
-
-void BoflController::record_observation(std::size_t flat,
-                                        double energy_per_job,
-                                        double latency_per_job, double jobs) {
-  (void)jobs;
-  engine_.add_observation({flat, energy_per_job, latency_per_job});
 }
 
 bool BoflController::guardian_allows(const RoundState& state,
@@ -245,9 +241,8 @@ void BoflController::explore_candidate(RoundState& state, std::size_t flat) {
     }
   }
 
-  const double latency = latency_weighted / jobs;
-  const double energy = energy_weighted / jobs;
-  record_observation(flat, energy, latency, jobs);
+  engine_.add_observation(
+      {flat, energy_weighted / jobs, latency_weighted / jobs});
   state.trace.explored_flat_ids.push_back(flat);
 }
 
@@ -310,7 +305,7 @@ void BoflController::mbo_update(RoundState& state) {
                                             : options_.tau.value();
   auto batch = static_cast<std::size_t>(std::max<std::int64_t>(
       1, std::llround(t_avg / options_.tau.value())));
-  batch = std::min(batch, options_.max_batch_size);
+  batch = std::min(batch, options_.mbo.max_batch_size);
 
   const std::vector<std::size_t> suggestions = engine_.propose_batch(batch);
   pending_.assign(suggestions.begin(), suggestions.end());
@@ -407,11 +402,7 @@ void BoflController::finish_round_bookkeeping(const RoundSpec& spec) {
         if (feedback_) {
           feedback_(prior_state_);
         }
-        const bool explored_enough =
-            static_cast<double>(engine_.num_observed_candidates()) >=
-            options_.min_explored_fraction *
-                static_cast<double>(engine_.num_candidates());
-        if (explored_enough) {
+        if (explored_enough(engine_)) {
           phase_ = Phase::kExploitation;
         }
       }
@@ -422,15 +413,11 @@ void BoflController::finish_round_bookkeeping(const RoundSpec& spec) {
     const double relative_improvement =
         (hv - hv_prev_) / std::max(hv_prev_, 1e-12);
     hv_prev_ = hv;
-    const bool explored_enough =
-        static_cast<double>(engine_.num_observed_candidates()) >=
-        options_.min_explored_fraction *
-            static_cast<double>(engine_.num_candidates());
-    const bool converged = relative_improvement < options_.hvi_stop_threshold;
+    const bool converged = relative_improvement < kHviStopThreshold;
     const bool exhausted =
         engine_.num_observed_candidates() == engine_.num_candidates();
-    if ((pareto_rounds_done_ >= options_.min_pareto_rounds &&
-         explored_enough && converged) ||
+    if ((pareto_rounds_done_ >= kMinParetoRounds && explored_enough(engine_) &&
+         converged) ||
         exhausted) {
       phase_ = Phase::kExploitation;
     }
@@ -507,12 +494,8 @@ void BoflController::import_state(
   pending_.clear();
   engine_.set_reference(engine_.reference());
   hv_prev_ = engine_.observed_hypervolume();
-  const bool explored_enough =
-      static_cast<double>(engine_.num_observed_candidates()) >=
-      options_.min_explored_fraction *
-          static_cast<double>(engine_.num_candidates());
-  phase_ = explored_enough ? Phase::kExploitation
-                           : Phase::kParetoConstruction;
+  phase_ = explored_enough(engine_) ? Phase::kExploitation
+                                    : Phase::kParetoConstruction;
 }
 
 void BoflController::apply_prior(const PriorSeed& seed,
@@ -587,8 +570,7 @@ void BoflController::demote_prior_to_cold() {
           static_cast<std::ptrdiff_t>(prior_engine_obs_),
       engine_.observations().end());
   runtime::ThreadPool* pool = engine_.parallel_pool();
-  engine_ = bo::MboEngine(model_.space().all_normalized(),
-                          make_engine_options(options_),
+  engine_ = bo::MboEngine(model_.space().all_normalized(), options_.mbo,
                           seed_ ^ 0x9E3779B97F4A7C15ULL);
   engine_.set_parallel_pool(pool);
   for (const bo::MboObservation& obs : own) {
@@ -596,9 +578,7 @@ void BoflController::demote_prior_to_cold() {
   }
   prior_engine_obs_ = 0;
   // Restart the cold phase-1 plan, minus configs already measured locally.
-  const std::deque<std::size_t> plan = sample_starting_points(
-      model_.space(), options_.initial_sample_fraction,
-      options_.exploration_sampler);
+  const std::deque<std::size_t> plan = sample_starting_points(model_.space());
   pending_.clear();
   for (const std::size_t flat : plan) {
     if (aggregates_.find(flat) == aggregates_.end()) {

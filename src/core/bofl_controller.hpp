@@ -4,10 +4,10 @@
 //
 // Phase transitions:
 //   Phase 1 -> 2 : when every quasi-random starting point has been explored.
-//   Phase 2 -> 3 : when >= min_explored_fraction of the space is explored
-//                  and the round's relative hypervolume improvement drops
-//                  below hvi_stop_threshold (the paper's §4.3 stop rule),
-//                  or when MBO has no unobserved candidate left to propose.
+//   Phase 2 -> 3 : when >= 3 % of the space is explored and the round's
+//                  relative hypervolume improvement drops below 1 % (the
+//                  paper's §4.3 stop rule), or when MBO has no unobserved
+//                  candidate left to propose.
 //
 // Safety.  Before exploring an unknown configuration the controller checks
 // a conservative form of the paper's Eqn. 2:
@@ -36,22 +36,7 @@
 
 namespace bofl::core {
 
-/// Which low-discrepancy generator draws the phase-1 starting points.  The
-/// paper only asks for "a quasi-random number generator" (§4.2); Sobol is
-/// the default because its coarse-lattice projections cover the DVFS grid
-/// slightly faster, but Halton is provided for A/B runs (see bench_fig11).
-enum class ExplorationSampler {
-  kSobol = 0,
-  kHalton = 1,
-};
-
-[[nodiscard]] const char* to_string(ExplorationSampler sampler);
-
 struct BoflOptions {
-  /// Fraction of the space sampled as phase-1 starting points (§4.2: ~1 %).
-  double initial_sample_fraction = 0.01;
-  /// Quasi-random generator behind the phase-1 sample.
-  ExplorationSampler exploration_sampler = ExplorationSampler::kSobol;
   /// Reference measurement duration τ (§4.2: e.g. 5 s).
   ///
   /// Safety contract: the deadline guarantee holds as long as the latency
@@ -62,29 +47,13 @@ struct BoflOptions {
   /// possible — exactly the paper's rationale for not measuring too
   /// briefly (see the A2 ablation bench).
   Seconds tau{5.0};
-  /// Phase-2 stop: explored share of the space must reach this first (~3 %).
-  double min_explored_fraction = 0.03;
-  /// Phase-2 stop: relative per-round hypervolume improvement below this.
-  double hvi_stop_threshold = 0.01;
-  /// Cap on the MBO batch size K (§4.3: e.g. 10).
-  std::size_t max_batch_size = 10;
-  /// Run at least this many Pareto-construction rounds before stopping.
-  std::size_t min_pareto_rounds = 2;
   /// Guardian allowance for the first job of an unknown configuration,
   /// in multiples of T(x_max).
   double first_job_allowance = 12.0;
   /// Noise margin applied to measured latencies in guardian and ILP
   /// feasibility arithmetic.
   double deadline_safety_margin = 0.03;
-  /// Drift demotion: a fresh per-job latency reading exceeding the config's
-  /// aggregate mean by this ratio means the environment changed (thermal
-  /// storm, co-runner, governor clamp) — the stale optimistic history is
-  /// discarded and the guardian re-armed.  Plain measurement noise (~1 %
-  /// CV) never crosses this; only genuine regressions (or injected latency
-  /// spikes) do.
-  double drift_demote_ratio = 1.25;
-  /// Cap on the guardian's drift inflation factor.
-  double drift_guard_cap = 3.0;
+  /// MBO engine options; mbo.max_batch_size is the batch cap K (§4.3).
   bo::MboOptions mbo{};
   MboCostModel mbo_cost{};
   /// Branch-and-bound options forwarded to every exploitation solve.  The
@@ -112,7 +81,7 @@ class BoflController final : public PaceController {
   [[nodiscard]] const BoflOptions& options() const { return options_; }
   [[nodiscard]] const bo::MboEngine& engine() const { return engine_; }
   /// Guardian drift inflation: 1 when the latest x_max reading matches its
-  /// history, larger (up to drift_guard_cap) while a regression detected at
+  /// history, larger (up to a cap of 3) while a regression detected at
   /// any configuration is still unresolved.
   [[nodiscard]] double drift_factor() const { return drift_factor_; }
   /// Latest believed per-job latency at x_max (unset before the first run).
@@ -192,9 +161,10 @@ class BoflController final : public PaceController {
   /// bit-identical to one never offered a prior.  kVerify overlays the
   /// believed profiles and collapses phase 1 to x_max plus the seed's
   /// verification ids; the Eqn. 2 guardian stays authoritative — a reading
-  /// off by more than drift_demote_ratio from the believed profile arms the
-  /// drift guard immediately and demotes back to cold start at the round
-  /// boundary.  kTrust imports the observations as if locally measured.
+  /// off by more than the drift demotion ratio (1.25) from the believed
+  /// profile arms the drift guard immediately and demotes back to cold
+  /// start at the round boundary.  kTrust imports the observations as if
+  /// locally measured.
   void apply_prior(const PriorSeed& seed, priors::PriorPolicy policy);
 
   void set_prior_feedback(PriorFeedback feedback) {
@@ -224,9 +194,6 @@ class BoflController final : public PaceController {
   device::Measurement run_config(RoundState& state,
                                  const device::DvfsConfig& config,
                                  std::int64_t jobs, bool exploratory);
-  /// Fold a measurement into the engine and the aggregate table.
-  void record_observation(std::size_t flat, double energy_per_job,
-                          double latency_per_job, double jobs);
   /// Conservative Eqn. 2 check for spending `budget` on exploration now.
   [[nodiscard]] bool guardian_allows(const RoundState& state,
                                      Seconds budget) const;

@@ -71,10 +71,6 @@ PerformanceObserver::PerformanceObserver(const DeviceModel& model,
   }
 }
 
-void PerformanceObserver::enable_thermal(const ThermalParams& params) {
-  thermal_.emplace(params);
-}
-
 const FlatPerfTable& PerformanceObserver::flat_table_for(
     const WorkloadProfile& profile) {
   if (!flat_profile_ || !(*flat_profile_ == profile)) {

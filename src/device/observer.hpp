@@ -162,8 +162,7 @@ class PerformanceObserver {
                        const DvfsConfig& config, std::int64_t count,
                        SimClock& clock);
 
-  /// Enable the thermal model; the die starts at ambient temperature.
-  void enable_thermal(const ThermalParams& params);
+  /// The thermal model (NoiseModel::thermal), or nullptr when off.
   [[nodiscard]] const ThermalState* thermal() const {
     return thermal_ ? &*thermal_ : nullptr;
   }

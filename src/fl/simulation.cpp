@@ -15,6 +15,19 @@
 
 namespace bofl::fl {
 
+namespace {
+
+/// Hidden layers of the kMlp classifier.
+constexpr std::size_t kMlpDepth = 2;
+/// Time steps per kLstm sequence.
+constexpr std::size_t kSequenceLength = 8;
+/// Reporting-deadline mode: per-upload throughput CV of each client's
+/// uplink, and the factor inflating the predicted upload time.
+constexpr double kUplinkCv = 0.25;
+constexpr double kUploadSafetyFactor = 1.25;
+
+}  // namespace
+
 const char* to_string(DeadlinePolicyKind kind) {
   switch (kind) {
     case DeadlinePolicyKind::kUniformSlack:
@@ -87,11 +100,11 @@ FlSimulationResult FederatedSimulation::run() {
                                       config_.classes, model_rng);
     }
     return nn::make_mlp_classifier(config_.feature_dim, config_.hidden,
-                                   config_.depth, config_.classes, model_rng);
+                                   kMlpDepth, config_.classes, model_rng);
   };
   const auto make_shard = [&](std::uint64_t seed, double skew) {
     if (config_.model == FleetModel::kLstm) {
-      return nn::make_sequences(config_.shard_examples, config_.sequence_length,
+      return nn::make_sequences(config_.shard_examples, kSequenceLength,
                                 config_.feature_dim, config_.classes, seed);
     }
     return nn::make_classification(config_.shard_examples, config_.feature_dim,
@@ -176,7 +189,7 @@ FlSimulationResult FederatedSimulation::run() {
           t_min * config_.static_timeout_slack);
       break;
     case DeadlinePolicyKind::kAdaptiveSlack:
-      policy = std::make_unique<AdaptiveSlackPolicy>(config_.adaptive_slack);
+      policy = std::make_unique<AdaptiveSlackPolicy>();
       break;
   }
 
@@ -191,11 +204,11 @@ FlSimulationResult FederatedSimulation::run() {
   std::vector<ReportingDeadlineAdapter> adapters;
   if (config_.reporting_deadline_mode) {
     for (std::size_t c = 0; c < config_.num_clients; ++c) {
-      uplinks.emplace_back(config_.uplink_mbps, config_.uplink_cv,
+      uplinks.emplace_back(config_.uplink_mbps, kUplinkCv,
                            config_.seed * 31 + c);
       adapters.emplace_back(
           model_bits, BandwidthEstimator(config_.uplink_mbps),
-          config_.upload_safety_factor);
+          kUploadSafetyFactor);
     }
   }
 
@@ -213,7 +226,7 @@ FlSimulationResult FederatedSimulation::run() {
     // in reporting mode it must also cover the upload.
     const Seconds cohort_floor = cohort_deadline_floor(
         client_t_min, participants,
-        Seconds{config_.upload_safety_factor * nominal_upload_seconds});
+        Seconds{kUploadSafetyFactor * nominal_upload_seconds});
     Seconds server_deadline = policy->assign(round, cohort_floor);
     if (injector) {
       // Deadline jitter: the server's announcement reaches clients skewed.

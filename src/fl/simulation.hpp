@@ -44,8 +44,7 @@ struct FlSimulationConfig {
   std::int64_t rounds = 20;
   std::int64_t epochs = 1;
   std::int64_t minibatch_size = 16;
-  std::size_t shard_examples = 256;   ///< per client
-  std::size_t test_examples = 512;
+  std::size_t shard_examples = 256;   ///< per client (and the test set)
   double learning_rate = 0.1;
   double deadline_ratio = 2.0;        ///< T_max / T_min
   core::ControllerKind controller = core::ControllerKind::kBofl;
@@ -54,7 +53,6 @@ struct FlSimulationConfig {
   std::size_t feature_dim = 16;
   std::size_t classes = 8;
   std::size_t hidden = 32;
-  std::size_t depth = 2;
   /// Hardware footprint billed per minibatch job.
   device::WorkloadProfile profile = device::vit_profile();
   /// Non-IID skew of client shards (0 = IID).
@@ -67,12 +65,10 @@ struct FlSimulationConfig {
   /// Model architecture; kLstm switches the data to sequences and (unless
   /// overridden) the hardware footprint to the LSTM profile.
   FleetModel model = FleetModel::kMlp;
-  std::size_t sequence_length = 8;  ///< kLstm only
 
   /// Server deadline policy.
   DeadlinePolicyKind deadline_policy = DeadlinePolicyKind::kUniformSlack;
   double static_timeout_slack = 2.5;  ///< kStaticTimeout: timeout/T_min
-  AdaptiveSlackPolicy::Config adaptive_slack{};
 
   /// Client dropout (paper Fig. 1: "drop out or miss deadline?"): each
   /// selected participant independently drops before training with this
@@ -98,8 +94,6 @@ struct FlSimulationConfig {
   /// through a bandwidth-measuring ReportingDeadlineAdapter.
   bool reporting_deadline_mode = false;
   double uplink_mbps = 5.0;  ///< paper's 4G-LTE example (§6.5 footnote)
-  double uplink_cv = 0.25;
-  double upload_safety_factor = 1.25;
 
   /// Share one ilp::ScheduleCache across the fleet's BoFL controllers so a
   /// cohort of clients facing the same round problem (identical Pareto

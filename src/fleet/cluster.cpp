@@ -63,7 +63,7 @@ void ClusterEngine::init_controller() {
       stream_seed(config_->seed ^ kCanonicalDomain, index_);
   controller_ = core::make_controller(
       config_->controller, *model_, profile_, device::NoiseModel{},
-      config_->bofl_options,
+      core::BoflOptions{},
       generation_ == 0 ? base : stream_seed(base, generation_), t_min_);
   bofl_ = dynamic_cast<core::BoflController*>(controller_.get());
   applied_policy_ = priors::PriorPolicy::kCold;

@@ -56,16 +56,10 @@ struct FleetConfig {
   /// Shard count; 0 = runtime::resolve_shard_count (enough shards to keep
   /// every worker busy).  Results are bit-identical for every value.
   std::size_t shards = 0;
-  /// Worker threads for the per-round shard fan-out; 0 = one per hardware
-  /// thread, 1 = serial.  Bit-identical for every value.
+  /// Worker threads for the per-round shard fan-out and the cluster
+  /// control plane; 0 = one per hardware thread, 1 = serial.  Bit-identical
+  /// for every value.
   std::size_t threads = 0;
-  /// Escape hatch: run the per-round cluster control plane (needed-depth
-  /// reduction, trajectory extension, end-of-run prior distillation) one
-  /// cluster at a time on the round-loop thread instead of fanning it over
-  /// the worker pool.  Results are bit-identical either way — the
-  /// control_plane_determinism tests pin it — this only trades wall time
-  /// for a simpler execution schedule (debugging, profiling serial cost).
-  bool serial_control_plane = false;
 
   /// Population heterogeneity: per-client silicon/binning speed factor,
   /// lognormal with this coefficient of variation around the cluster's
@@ -75,12 +69,6 @@ struct FleetConfig {
   /// Per-(client, participation) execution jitter (background load), as a
   /// lognormal CV applied to that round's latency and energy.
   double round_noise_cv = 0.01;
-
-  /// Pace-controller tuning for the canonical BoFL controllers.
-  /// core::make_controller caps τ at round T_min / 8 so short fleet rounds
-  /// can still explore, and replaces mbo_cost with the device-calibrated
-  /// model.
-  core::BoflOptions bofl_options{};
 
   /// Server-side straggler handling: wait at most this multiple of the
   /// round's reference deadline (the cohort's largest effective deadline)

@@ -364,9 +364,9 @@ FleetResult FleetEngine::run() {
   std::vector<priors::PublishBatch> batches;
   if (publishing) {
     batches.resize(clusters_.size());
-    runtime::parallel_for_each(
-        config_.serial_control_plane ? nullptr : &pool, clusters_.size(),
-        [&](std::size_t c) { batches[c] = clusters_[c]->prepare_publish(); });
+    runtime::parallel_for_each(&pool, clusters_.size(), [&](std::size_t c) {
+      batches[c] = clusters_[c]->prepare_publish();
+    });
   }
   for (std::size_t c = 0; c < clusters_.size(); ++c) {
     const ClusterEngine& cluster = *clusters_[c];
@@ -506,10 +506,9 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
   // draw the round's deadline jitter (one fleet-wide factor, as in
   // fl::Simulation).  Extension fans out over the pool — clusters are
   // independent (own controller, RNG streams, fault channel; the shared
-  // ScheduleCache is striped and bit-stable under races) — unless
-  // serial_control_plane pins it to this thread.  Either way the fault
-  // events buffered during extension flush serially in cluster-index order,
-  // so the telemetry stream is identical in both modes.
+  // ScheduleCache is striped and bit-stable under races).  The fault events
+  // buffered during extension flush serially in cluster-index order, so the
+  // telemetry stream is identical for every thread count.
   const auto control_start = std::chrono::steady_clock::now();
   if (scenario != nullptr) {
     for (const faults::TaskSwitchSpec& ts : scenario->task_switches) {
@@ -530,15 +529,13 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
   }
   // One task per cluster: fold the shards' maxima for that cluster (reads
   // every shard, writes nothing shared), then extend its trajectory.
-  runtime::parallel_for_each(
-      config_.serial_control_plane ? nullptr : pool, clusters_.size(),
-      [&](std::size_t c) {
-        std::uint32_t needed = 0;
-        for (const ClientShard& shard : shards_) {
-          needed = std::max(needed, shard.needed_entries[c]);
-        }
-        clusters_[c]->extend_to(needed, deadline_factor);
-      });
+  runtime::parallel_for_each(pool, clusters_.size(), [&](std::size_t c) {
+    std::uint32_t needed = 0;
+    for (const ClientShard& shard : shards_) {
+      needed = std::max(needed, shard.needed_entries[c]);
+    }
+    clusters_[c]->extend_to(needed, deadline_factor);
+  });
   for (const std::unique_ptr<ClusterEngine>& cluster : clusters_) {
     cluster->flush_fault_events();
   }

@@ -11,13 +11,27 @@ namespace bofl::gp {
 
 namespace {
 
-/// Parameter vector layout: [log ls_0 .. log ls_{d-1}, log sv, (log nv)].
+/// Warm-started refits (see HyperoptProblem::warm_start) run a single
+/// Nelder–Mead pass from the previous optimum with a small simplex instead
+/// of the multi-start search: the LML optimum moves slowly as observations
+/// accumulate, so a short local polish recovers it at a fraction of the
+/// evaluation budget.  ~60 iterations keeps the refit an order of magnitude
+/// cheaper than a full search at typical phase-2 data sizes.
+constexpr std::size_t kWarmStartMaxIterations = 60;
+constexpr double kWarmStartStep = 0.05;
+// Log-space box bounds on the variances (applied by clamping inside the
+// objective; targets are standardized, so these are scale-free).
+constexpr double kMinSignalVariance = 1e-4;
+constexpr double kMaxSignalVariance = 1e2;
+constexpr double kMinNoiseVariance = 1e-8;
+constexpr double kMaxNoiseVariance = 1.0;
+
+/// Parameter vector layout: [log ls_0 .. log ls_{d-1}, log sv, log nv].
 struct ParamCodec {
   std::size_t dim;
-  bool with_noise;
   const HyperoptOptions& opts;
 
-  [[nodiscard]] std::size_t size() const { return dim + 1 + (with_noise ? 1 : 0); }
+  [[nodiscard]] std::size_t size() const { return dim + 2; }
 
   [[nodiscard]] Kernel decode_kernel(KernelFamily family,
                                      const std::vector<double>& p) const {
@@ -26,18 +40,14 @@ struct ParamCodec {
       lengthscales[i] = std::clamp(std::exp(p[i]), opts.min_lengthscale,
                                    opts.max_lengthscale);
     }
-    const double sv = std::clamp(std::exp(p[dim]), opts.min_signal_variance,
-                                 opts.max_signal_variance);
+    const double sv =
+        std::clamp(std::exp(p[dim]), kMinSignalVariance, kMaxSignalVariance);
     return {family, sv, std::move(lengthscales)};
   }
 
-  [[nodiscard]] double decode_noise(const std::vector<double>& p,
-                                    double fallback) const {
-    if (!with_noise) {
-      return fallback;
-    }
-    return std::clamp(std::exp(p[dim + 1]), opts.min_noise_variance,
-                      opts.max_noise_variance);
+  [[nodiscard]] double decode_noise(const std::vector<double>& p) const {
+    return std::clamp(std::exp(p[dim + 1]), kMinNoiseVariance,
+                      kMaxNoiseVariance);
   }
 
   [[nodiscard]] std::vector<double> encode(const HyperoptResult& r) const {
@@ -46,9 +56,7 @@ struct ParamCodec {
       p[i] = std::log(r.kernel.lengthscales()[i]);
     }
     p[dim] = std::log(r.kernel.signal_variance());
-    if (with_noise) {
-      p[dim + 1] = std::log(std::max(r.noise_variance, opts.min_noise_variance));
-    }
+    p[dim + 1] = std::log(std::max(r.noise_variance, kMinNoiseVariance));
     return p;
   }
 };
@@ -58,12 +66,11 @@ struct ParamCodec {
 std::vector<HyperoptResult> fit_hyperparameters(
     std::span<const HyperoptProblem> problems, Rng& rng,
     const HyperoptOptions& options, runtime::ThreadPool* pool) {
-  const double default_noise = 1e-4;
   NelderMeadOptions full_nm;
   full_nm.max_iterations = options.max_iterations_per_start;
   NelderMeadOptions warm_nm;
-  warm_nm.max_iterations = options.warm_start_max_iterations;
-  warm_nm.initial_step = options.warm_start_step;
+  warm_nm.max_iterations = kWarmStartMaxIterations;
+  warm_nm.initial_step = kWarmStartStep;
 
   // Plan: one Nelder–Mead run per restart (per problem on the warm path),
   // every start drawn here, serially, in the order the serial loops drew.
@@ -81,8 +88,7 @@ std::vector<HyperoptResult> fit_hyperparameters(
     BOFL_REQUIRE(problem.inputs.size() == problem.targets.size(),
                  "inputs and targets must have equal length");
     const std::size_t dim = problem.inputs.front().size();
-    const ParamCodec& codec =
-        codecs.emplace_back(ParamCodec{dim, options.optimize_noise, options});
+    const ParamCodec& codec = codecs.emplace_back(ParamCodec{dim, options});
     if (problem.warm_start != nullptr) {
       BOFL_REQUIRE(problem.warm_start->kernel.family() == problem.family &&
                        problem.warm_start->kernel.lengthscales().size() == dim,
@@ -98,18 +104,14 @@ std::vector<HyperoptResult> fit_hyperparameters(
           start[i] = std::log(0.4);
         }
         start[dim] = 0.0;
-        if (options.optimize_noise) {
-          start[dim + 1] = std::log(1e-3);
-        }
+        start[dim + 1] = std::log(1e-3);
       } else {
         for (std::size_t i = 0; i < dim; ++i) {
           start[i] = rng.uniform(std::log(options.min_lengthscale),
                                  std::log(options.max_lengthscale));
         }
         start[dim] = rng.uniform(-1.5, 1.5);
-        if (options.optimize_noise) {
-          start[dim + 1] = rng.uniform(std::log(1e-6), std::log(1e-1));
-        }
+        start[dim + 1] = rng.uniform(std::log(1e-6), std::log(1e-1));
       }
       runs.push_back({p, std::move(start), {}});
     }
@@ -122,7 +124,7 @@ std::vector<HyperoptResult> fit_hyperparameters(
     const ParamCodec& codec = codecs[run.problem];
     auto negative_lml = [&](const std::vector<double>& p) -> double {
       GaussianProcess model(codec.decode_kernel(problem.family, p),
-                            codec.decode_noise(p, default_noise));
+                            codec.decode_noise(p));
       model.condition(problem.inputs, problem.targets);
       return -model.log_marginal_likelihood();
     };
@@ -147,7 +149,7 @@ std::vector<HyperoptResult> fit_hyperparameters(
   for (std::size_t p = 0; p < problems.size(); ++p) {
     BOFL_ASSERT(best[p] != nullptr, "hyperopt produced no candidate");
     results.push_back({codecs[p].decode_kernel(problems[p].family, best[p]->x),
-                       codecs[p].decode_noise(best[p]->x, default_noise),
+                       codecs[p].decode_noise(best[p]->x),
                        -best_value[p]});
   }
   return results;

@@ -19,22 +19,10 @@ namespace bofl::gp {
 struct HyperoptOptions {
   std::size_t num_restarts = 4;
   std::size_t max_iterations_per_start = 200;
-  /// Warm-started refits (see `warm_start` below) run a single Nelder–Mead
-  /// pass from the previous optimum with a small simplex instead of the
-  /// multi-start search: the LML optimum moves slowly as observations
-  /// accumulate, so a short local polish recovers it at a fraction of the
-  /// evaluation budget.  ~60 iterations keeps the refit an order of
-  /// magnitude cheaper than a full search at typical phase-2 data sizes.
-  std::size_t warm_start_max_iterations = 60;
-  double warm_start_step = 0.05;
-  // log-space box bounds (applied by clamping inside the objective).
+  // log-space lengthscale bounds (applied by clamping inside the objective;
+  // the signal and noise variance bounds are fixed in hyperopt.cpp).
   double min_lengthscale = 0.02;
   double max_lengthscale = 10.0;
-  double min_signal_variance = 1e-4;
-  double max_signal_variance = 1e2;
-  double min_noise_variance = 1e-8;
-  double max_noise_variance = 1.0;
-  bool optimize_noise = true;
 };
 
 struct HyperoptResult {
@@ -45,7 +33,7 @@ struct HyperoptResult {
 
 /// One GP's hyperparameter search: `family` kernels on (inputs, targets).
 /// Inputs are expected normalized to [0,1]^d and targets standardized
-/// (mean 0, unit variance) — the bounds in HyperoptOptions assume that
+/// (mean 0, unit variance) — the hyperparameter bounds assume that
 /// scaling.  The referenced data must outlive the fit.
 ///
 /// When `warm_start` is non-null, the multi-start search is replaced by one

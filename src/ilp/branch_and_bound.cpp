@@ -10,6 +10,9 @@ namespace bofl::ilp {
 
 namespace {
 
+/// Values within this distance of an integer are considered integral.
+constexpr double kIntegralityTolerance = 1e-6;
+
 struct Node {
   // Extra variable bounds accumulated along the branching path, encoded as
   // plain constraints appended to the base problem.
@@ -23,9 +26,9 @@ struct Node {
 };
 
 /// Index of the "most fractional" coordinate, or x.size() if all integral.
-std::size_t most_fractional(const std::vector<double>& x, double tol) {
+std::size_t most_fractional(const std::vector<double>& x) {
   std::size_t best = x.size();
-  double best_distance = tol;
+  double best_distance = kIntegralityTolerance;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double frac = x[i] - std::floor(x[i]);
     const double distance = std::min(frac, 1.0 - frac);
@@ -145,8 +148,7 @@ IlpSolution solve_ilp(const LpProblem& problem, const IlpOptions& options) {
       continue;
     }
 
-    const std::size_t branch_var =
-        most_fractional(lp.x, options.integrality_tolerance);
+    const std::size_t branch_var = most_fractional(lp.x);
     if (branch_var == n) {
       // Integral solution: new incumbent.
       incumbent = lp.objective;

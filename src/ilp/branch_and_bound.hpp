@@ -17,8 +17,6 @@ namespace bofl::ilp {
 struct IlpOptions {
   /// Hard cap on explored B&B nodes; a hit is reported via node_limit_hit.
   std::size_t max_nodes = 100000;
-  /// Values within this distance of an integer are considered integral.
-  double integrality_tolerance = 1e-6;
   /// Accept incumbents within this relative gap of the best bound: nodes
   /// with bound >= incumbent * (1 - gap) are pruned.  0 = prove exact
   /// optimality.  The schedule solver uses a sub-micro-joule gap, far below

@@ -39,7 +39,7 @@ ScheduleCache::Key ScheduleCache::make_key(
     const std::vector<ConfigProfile>& pruned, std::int64_t num_jobs,
     double deadline_seconds, const IlpOptions& options) const {
   Key key;
-  key.words.reserve(2 * pruned.size() + 5);
+  key.words.reserve(2 * pruned.size() + 4);
   for (const ConfigProfile& p : pruned) {
     key.words.push_back(bits_of(p.energy_per_job));
     key.words.push_back(bits_of(p.latency_per_job));
@@ -50,7 +50,6 @@ ScheduleCache::Key ScheduleCache::make_key(
                           ? bits_of(std::floor(deadline_seconds / quantum))
                           : bits_of(deadline_seconds));
   key.words.push_back(static_cast<std::uint64_t>(options.max_nodes));
-  key.words.push_back(bits_of(options.integrality_tolerance));
   key.words.push_back(bits_of(options.relative_gap));
   key.hash = fnv1a(key.words);
   return key;

@@ -104,7 +104,7 @@ class ScheduleCache {
   struct Key {
     /// Exact bit patterns: per profile (energy, latency), then job count,
     /// the (possibly bucketed) deadline word, and the solver options that
-    /// steer the search (max_nodes, integrality_tolerance, relative_gap).
+    /// steer the search (max_nodes, relative_gap).
     /// config_id is deliberately excluded — assignments are positional and
     /// the solver never reads it.
     std::vector<std::uint64_t> words;

@@ -38,8 +38,6 @@ class Sequential {
   /// Load parameters from the flat wire format; sizes must match.
   void set_flat_parameters(const std::vector<float>& flat);
 
-  [[nodiscard]] std::size_t num_layers() const { return layers_.size(); }
-
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
 };

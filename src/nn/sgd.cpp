@@ -10,11 +10,6 @@ SgdOptimizer::SgdOptimizer(double learning_rate, double momentum)
   BOFL_REQUIRE(momentum >= 0.0 && momentum < 1.0, "momentum must be in [0,1)");
 }
 
-void SgdOptimizer::set_learning_rate(double lr) {
-  BOFL_REQUIRE(lr > 0.0, "learning rate must be positive");
-  learning_rate_ = lr;
-}
-
 void SgdOptimizer::step(Sequential& model) {
   const std::vector<Tensor*> params = model.parameters();
   const std::vector<Tensor*> grads = model.gradients();

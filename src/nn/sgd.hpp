@@ -15,7 +15,6 @@ class SgdOptimizer {
   void step(Sequential& model);
 
   [[nodiscard]] double learning_rate() const { return learning_rate_; }
-  void set_learning_rate(double lr);
 
  private:
   double learning_rate_;

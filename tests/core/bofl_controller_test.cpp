@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/harness.hpp"
@@ -166,6 +167,32 @@ TEST(BoflController, MboCostOnlyChargedInParetoPhase) {
   // 30-round task the fixed exploration cost amortizes less, so allow 2.5 %.
   EXPECT_LT(result.total_mbo_energy().value(),
             0.025 * result.total_training_energy().value());
+}
+
+TEST(BoflController, MboBatchCapComesFromMboOptions) {
+  const device::DeviceModel agx = device::jetson_agx();
+  const FlTaskSpec task = cifar10_vit_task(agx.name());
+  const auto rounds = rounds_for(agx, task, 2.0, 30, 47);
+  // Most candidates one Pareto-construction round explores.
+  const auto widest_phase2_round = [&](const BoflOptions& options) {
+    BoflController bofl(agx, task.profile, {}, options, 37);
+    std::size_t widest = 0;
+    std::size_t phase2_rounds = 0;
+    for (const RoundTrace& trace : run_task(bofl, rounds).rounds) {
+      if (trace.phase == Phase::kParetoConstruction) {
+        ++phase2_rounds;
+        widest = std::max(widest, trace.explored_flat_ids.size());
+      }
+    }
+    EXPECT_GT(phase2_rounds, 0u);
+    return widest;
+  };
+  // The default cap K = 10 lets a round explore several proposals...
+  EXPECT_GT(widest_phase2_round(fast_options(agx.name())), 1u);
+  // ...and mbo.max_batch_size = 1 holds every round to one.
+  BoflOptions capped = fast_options(agx.name());
+  capped.mbo.max_batch_size = 1;
+  EXPECT_LE(widest_phase2_round(capped), 1u);
 }
 
 TEST(BoflController, ObservedProfilesAggregateAcrossRounds) {

@@ -19,7 +19,6 @@ FlSimulationConfig fleet_config(std::size_t threads) {
   config.epochs = 1;
   config.minibatch_size = 16;
   config.shard_examples = 128;
-  config.test_examples = 256;
   config.controller = ControllerKind::kBofl;
   config.seed = 20220811;
   config.threads = threads;

@@ -17,7 +17,6 @@ FlSimulationConfig base_config() {
   config.epochs = 1;
   config.minibatch_size = 16;
   config.shard_examples = 128;
-  config.test_examples = 256;
   config.controller = ControllerKind::kPerformant;
   config.seed = 909;
   return config;

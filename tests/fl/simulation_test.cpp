@@ -18,7 +18,6 @@ FlSimulationConfig small_config(ControllerKind kind) {
   config.epochs = 1;
   config.minibatch_size = 16;
   config.shard_examples = 128;
-  config.test_examples = 256;
   config.controller = kind;
   config.seed = 4242;
   return config;

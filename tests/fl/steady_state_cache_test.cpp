@@ -23,7 +23,6 @@ FlSimulationConfig base_config() {
   config.epochs = 1;
   config.minibatch_size = 16;
   config.shard_examples = 128;
-  config.test_examples = 256;
   // The default deadline_ratio of 2.0 keeps every client in phase 1 for the
   // whole run; 8.0 gives the round budget room to finish exploration, so
   // these comparisons actually cover Pareto construction and cached

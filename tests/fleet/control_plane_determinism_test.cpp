@@ -1,8 +1,8 @@
 // The parallel cluster control plane's bit-identity contract: fanning the
 // per-round needed-depth reduction, trajectory extension and end-of-run
 // prior distillation over the worker pool must leave every trace, counter
-// and warm-store byte exactly where the serial control plane
-// (--serial-control-plane) puts them, at any shards x threads layout.
+// and warm-store byte exactly where the serial control plane (threads = 1)
+// puts them, at any shards x threads layout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,10 +38,9 @@ FleetConfig four_cluster_config(const device::DeviceModel* agx,
 }
 
 FleetResult run_with(FleetConfig config, std::size_t shards,
-                     std::size_t threads, bool serial_control_plane) {
+                     std::size_t threads) {
   config.shards = shards;
   config.threads = threads;
-  config.serial_control_plane = serial_control_plane;
   FleetEngine engine(std::move(config));
   return engine.run();
 }
@@ -58,19 +57,15 @@ void expect_identical(const FleetResult& a, const FleetResult& b) {
   EXPECT_EQ(a.telemetry.deadline_misses, b.telemetry.deadline_misses);
 }
 
-/// Every tested layout, parallel control plane vs the serial escape hatch
-/// at the SAME layout, plus everything vs the 1x1 serial reference.
+/// Every tested layout vs the 1x1 serial reference.
 void expect_layout_sweep_identical(const FleetConfig& base) {
-  const FleetResult reference = run_with(base, 1, 1, /*serial=*/true);
+  const FleetResult reference = run_with(base, 1, 1);
   ASSERT_GT(reference.total_participants(), 0u);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{16}}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
       SCOPED_TRACE(::testing::Message()
                    << "shards=" << shards << " threads=" << threads);
-      const FleetResult parallel = run_with(base, shards, threads, false);
-      const FleetResult serial = run_with(base, shards, threads, true);
-      expect_identical(reference, parallel);
-      expect_identical(reference, serial);
+      expect_identical(reference, run_with(base, shards, threads));
     }
   }
 }
@@ -97,8 +92,8 @@ TEST(ControlPlaneDeterminism, AllClusterTaskSwitchWorstCase) {
   // must change the trace.
   FleetConfig no_switch = base;
   no_switch.scenario->task_switches[0].round = base.rounds + 10;
-  EXPECT_NE(run_with(base, 1, 1, true).trace_hash,
-            run_with(no_switch, 1, 1, true).trace_hash);
+  EXPECT_NE(run_with(base, 1, 1).trace_hash,
+            run_with(no_switch, 1, 1).trace_hash);
 
   expect_layout_sweep_identical(base);
 }
@@ -112,7 +107,7 @@ TEST(ControlPlaneDeterminism, StragglerHeavyFaultPlan) {
 
   // The plan must bite (late reports, dropouts, cutoff timeouts) so the
   // buffered fault-event path is genuinely exercised under concurrency.
-  const FleetResult reference = run_with(base, 1, 1, true);
+  const FleetResult reference = run_with(base, 1, 1);
   std::uint64_t stragglers = 0;
   std::uint64_t dropped = 0;
   std::uint64_t timed_out = 0;
@@ -140,25 +135,22 @@ TEST(ControlPlaneDeterminism, WarmStoreBytesAreLayoutInvariant) {
   base.cohort_fraction = 0.5;
   base.prior_policy = priors::PriorPolicy::kVerify;
 
-  const auto store_bytes = [&](std::size_t shards, std::size_t threads,
-                               bool serial_cp) {
+  const auto store_bytes = [&](std::size_t shards, std::size_t threads) {
     priors::KnowledgeStore store;
     FleetConfig config = base;
     config.knowledge = &store;
-    const FleetResult result = run_with(std::move(config), shards, threads,
-                                        serial_cp);
+    const FleetResult result = run_with(std::move(config), shards, threads);
     EXPECT_GT(result.total_participants(), 0u);
     EXPECT_GT(store.num_clusters(), 0u);
     return store.to_json();
   };
 
-  const std::string reference = store_bytes(1, 1, /*serial=*/true);
+  const std::string reference = store_bytes(1, 1);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{16}}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
       SCOPED_TRACE(::testing::Message()
                    << "shards=" << shards << " threads=" << threads);
-      EXPECT_EQ(store_bytes(shards, threads, false), reference);
-      EXPECT_EQ(store_bytes(shards, threads, true), reference);
+      EXPECT_EQ(store_bytes(shards, threads), reference);
     }
   }
 }

@@ -112,7 +112,8 @@ TEST(WarmStart, OptimisticPriorDemotesToColdAndRearmsDrift) {
 
   // Poison the believed profiles: claim every config is 2x faster than it
   // really is.  The first on-unit measurement lands outside the drift band
-  // (actual > believed * drift_demote_ratio) — an optimistic misprediction.
+  // (actual > believed * 1.25, the drift demotion ratio) — an optimistic
+  // misprediction.
   PriorSnapshot poisoned = donor.snapshot;
   for (auto& obs : poisoned.observations) {
     obs.mean_latency *= 0.5;

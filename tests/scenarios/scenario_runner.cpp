@@ -192,7 +192,6 @@ fl::FlSimulationResult run_fleet_scenario(const std::string& name,
   config.clients_per_round = opts.clients_per_round;
   config.rounds = opts.rounds;
   config.shard_examples = 64;
-  config.test_examples = 128;
   config.seed = opts.seed;
   config.threads = opts.threads;
   config.straggler_timeout = opts.straggler_timeout;

@@ -70,7 +70,6 @@ fl::FlSimulationResult run_fleet(std::size_t threads) {
   config.clients_per_round = 3;
   config.rounds = 4;
   config.shard_examples = 64;
-  config.test_examples = 64;
   config.seed = 5;
   config.threads = threads;
   fl::FederatedSimulation sim(model, config);

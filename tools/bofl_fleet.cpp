@@ -64,7 +64,7 @@ int usage(const char* argv0) {
       "          [--ratio R] [--seed S] "
       "[--controller bofl|performant|oracle|linear]\n"
       "          [--mix agx-vit|edge-mix|global-mix] [--shards N] [--threads N]\n"
-      "          [--serial-control-plane] [--simd avx2|scalar]\n"
+      "          [--simd avx2|scalar]\n"
       "          [--het-cv CV] [--noise-cv CV] [--straggler-timeout K]\n"
       "          [--faults PLAN.json | --scenario NAME]\n"
       "          [--fleet-scenario SPEC.json|NAME] [--list-scenarios]\n"
@@ -95,6 +95,16 @@ int list_scenarios() {
 
 int main(int argc, char** argv) {
   const FlagParser flags(argc, argv);
+  if (!cli::check_known_flags(
+          flags,
+          {"help", "clients", "rounds", "cohort", "jobs", "ratio", "seed",
+           "controller", "mix", "shards", "threads", "simd", "het-cv",
+           "noise-cv", "straggler-timeout", "faults", "scenario",
+           "fleet-scenario", "list-scenarios", "priors", "priors-path",
+           "prior-policy", "json", "quiet", "metrics-out", "metrics-summary",
+           "assert-wall-s", "assert-rss-mb"})) {
+    return usage(argv[0]);
+  }
   if (flags.has("help")) {
     return usage(argv[0]);
   }
@@ -121,9 +131,6 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   config.shards = static_cast<std::size_t>(flags.get_int("shards", 0));
   config.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  // Escape hatch: extend cluster trajectories one at a time on the round
-  // loop thread (results are bit-identical either way).
-  config.serial_control_plane = flags.get_bool("serial-control-plane");
   config.heterogeneity_cv = flags.get_double("het-cv", 0.08);
   config.round_noise_cv = flags.get_double("noise-cv", 0.01);
   config.straggler_timeout = flags.get_double("straggler-timeout", 0.0);
@@ -344,9 +351,7 @@ int main(int argc, char** argv) {
                                linalg::simd::active_level())))
         .set("wall_s", wall_s)
         .set("control_plane_ms", result.control_plane_ms)
-        .set("data_plane_ms", result.data_plane_ms)
-        .set("serial_control_plane",
-             flags.get_bool("serial-control-plane") ? 1.0 : 0.0);
+        .set("data_plane_ms", result.data_plane_ms);
     if (has_fleet_scenario) {
       summary.set("fleet_scenario", fleet_scenario_name)
           .set("departed", static_cast<double>(result.total_departed()))

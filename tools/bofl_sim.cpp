@@ -52,6 +52,14 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   const FlagParser flags(argc, argv);
+  if (!cli::check_known_flags(
+          flags, {"help", "device", "task", "controller", "ratio", "rounds",
+                  "seed", "tau", "spike-prob", "spike-mag", "thermal",
+                  "faults", "scenario", "list-scenarios", "threads", "simd",
+                  "csv", "save-state", "load-state", "quiet", "metrics-out",
+                  "metrics-summary"})) {
+    return usage(argv[0]);
+  }
   if (flags.has("help")) {
     return usage(argv[0]);
   }

@@ -1,5 +1,6 @@
 #include "cli.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -7,6 +8,17 @@
 #include "linalg/simd/dispatch.hpp"
 
 namespace bofl::cli {
+
+bool check_known_flags(const FlagParser& flags,
+                       std::initializer_list<std::string_view> known) {
+  for (const std::string& key : flags.keys()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
+      return false;
+    }
+  }
+  return true;
+}
 
 bool apply_simd_flag(const FlagParser& flags) {
   if (!flags.has("simd")) {

@@ -3,8 +3,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
+#include <string_view>
 
 #include "common/flags.hpp"
 #include "core/controller_factory.hpp"
@@ -12,6 +14,12 @@
 #include "telemetry/run_recorder.hpp"
 
 namespace bofl::cli {
+
+/// False, after naming the first offender, when a flag on the command line
+/// is not in `known` — a typo such as --clinets must not silently run the
+/// defaults.
+[[nodiscard]] bool check_known_flags(
+    const FlagParser& flags, std::initializer_list<std::string_view> known);
 
 /// Apply --simd before any numeric work; false on an unknown or
 /// unsupported level (a hard error, not a silent downgrade).
