@@ -102,16 +102,17 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-double Rng::lognormal_mean1(double cv) {
+double Rng::lognormal_mean1(double cv) { return LognormalMean1(cv)(*this); }
+
+LognormalMean1::LognormalMean1(double cv) {
   BOFL_REQUIRE(cv >= 0.0, "coefficient of variation must be non-negative");
   if (cv == 0.0) {
-    return 1.0;
+    return;
   }
-  // X = exp(N(mu, sigma^2)) with sigma^2 = log(1 + cv^2) and
-  // mu = -sigma^2/2 gives E[X] = 1 and CV(X) = cv exactly.
   const double sigma2 = std::log1p(cv * cv);
-  const double mu = -0.5 * sigma2;
-  return std::exp(normal(mu, std::sqrt(sigma2)));
+  mu_ = -0.5 * sigma2;
+  sigma_ = std::sqrt(sigma2);
+  degenerate_ = false;
 }
 
 bool Rng::bernoulli(double p) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -56,9 +57,8 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev);
 
-  /// Lognormal such that the *mean* of the distribution is `mean` and the
-  /// coefficient of variation is `cv`.  Used for multiplicative measurement
-  /// noise: lognormal_mean1(cv) has expectation exactly 1.
+  /// One draw of LognormalMean1(cv): multiplicative noise with expectation
+  /// exactly 1 and coefficient of variation `cv`.
   [[nodiscard]] double lognormal_mean1(double cv);
 
   /// Bernoulli trial with success probability p.
@@ -83,6 +83,30 @@ class Rng {
   std::array<std::uint64_t, 4> state_{};
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
+};
+
+/// Lognormal distribution with mean exactly 1 and coefficient of variation
+/// `cv`, for multiplicative measurement noise.  X = exp(N(mu, sigma^2))
+/// with sigma^2 = log(1 + cv^2) and mu = -sigma^2/2 gives E[X] = 1 and
+/// CV(X) = cv exactly.  The constructor does the transcendentals once, so a
+/// loop drawing with a fixed cv pays one exp and one normal per draw.
+class LognormalMean1 {
+ public:
+  /// Requires cv >= 0.
+  explicit LognormalMean1(double cv);
+
+  /// Exactly 1.0 at cv == 0 (and no draw); otherwise one normal() draw.
+  [[nodiscard]] double operator()(Rng& rng) const {
+    if (degenerate_) {
+      return 1.0;
+    }
+    return std::exp(mu_ + sigma_ * rng.normal());
+  }
+
+ private:
+  double mu_ = 0.0;
+  double sigma_ = 0.0;
+  bool degenerate_ = true;
 };
 
 }  // namespace bofl

@@ -352,10 +352,10 @@ FlSimulationResult FederatedSimulation::run() {
       }
     }
     bool all_met = true;
-    // Round close is event-driven: arrivals drain from a completion queue in
-    // (time, participant) order, and the drain stops counting at the
-    // straggler cutoff — same accounting as the polling loop this replaced
-    // (max + counts are order-independent), bit for bit.
+    // Round close is the fleet engine's linear fold: arrivals strictly past
+    // the straggler cutoff count as timed out — the same accounting as the
+    // polling loop this replaced (max + counts are order-independent), bit
+    // for bit.
     const std::optional<double> straggler_cutoff =
         config_.straggler_timeout > 0.0
             ? std::optional<double>(config_.straggler_timeout *

@@ -17,8 +17,9 @@
 //   misses[i]          rounds whose effective deadline the client missed
 //
 // A shard owns a contiguous client-id range (runtime/sharding.hpp), its own
-// completion-event queue, and its own round scratch, so the per-round fan-
-// out touches each shard from exactly one task — single-writer, no locks.
+// completion-event buffer (appended in pass 2, folded by close_round in
+// pass 3), and its own round scratch, so the per-round fan-out touches each
+// shard from exactly one task — single-writer, no locks.
 // All cross-shard reductions are integer adds and maxes (associative +
 // commutative), so merged fleet stats are bit-identical at any shard count.
 #pragma once
@@ -40,7 +41,7 @@ struct ShardRoundStats {
   std::uint64_t busy_us = 0;
   std::uint64_t wall_us = 0;          ///< last counted arrival (max)
   std::uint64_t max_deadline_us = 0;  ///< largest effective deadline (max)
-  std::uint64_t queue_peak = 0;       ///< event-queue peak depth (max)
+  std::uint64_t queue_peak = 0;       ///< events at round close (max)
   std::uint32_t participants = 0;
   std::uint32_t dropped = 0;
   std::uint32_t missed = 0;
@@ -96,7 +97,8 @@ class ClientShard {
   std::vector<std::uint8_t> active;
   std::vector<std::uint64_t> battery_uj;
 
-  /// Per-shard completion-event queue, reused across rounds.
+  /// Per-shard completion-event buffer, emptied by each round's close and
+  /// reused across rounds.
   CompletionQueue<std::uint64_t> queue;
 
   /// Round scratch (single-writer, reused): the local offsets selected this

@@ -331,8 +331,6 @@ FleetResult FleetEngine::run() {
   for (const std::unique_ptr<ClusterEngine>& cluster : clusters_) {
     cluster->set_parallel_pool(&pool);
   }
-  const double cp_ms_start = control_plane_ms_total_;
-  const double dp_ms_start = data_plane_ms_total_;
   FleetResult result;
   result.num_clients = config_.num_clients;
   result.num_shards = shards_.size();
@@ -341,7 +339,7 @@ FleetResult FleetEngine::run() {
   const bool scenario_fields = config_.scenario.has_value();
   std::uint64_t hash = kFnvOffset;
   for (std::int64_t step = 0; step < config_.rounds; ++step) {
-    const FleetRoundStats stats = run_round(next_round_++, &pool);
+    const FleetRoundStats stats = run_round(next_round_++, &pool, result);
     fold_round(hash, stats, scenario_fields);
     publish_round(stats);
     result.rounds.push_back(stats);
@@ -379,15 +377,15 @@ FleetResult FleetEngine::run() {
       priors::apply_publish(*config_.knowledge, batches[c]);
     }
   }
-  control_plane_ms_total_ +=
+  result.control_plane_ms +=
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - publish_start)
           .count();
   for (const std::unique_ptr<ClusterEngine>& cluster : clusters_) {
     cluster->set_parallel_pool(nullptr);
   }
-  result.control_plane_ms = control_plane_ms_total_ - cp_ms_start;
-  result.data_plane_ms = data_plane_ms_total_ - dp_ms_start;
+  result.data_plane_ms =
+      result.select_ms + result.cost_ms + result.close_ms + result.merge_ms;
   result.soa_bytes = soa_bytes();
   result.peak_rss_bytes = telemetry::peak_rss_bytes();
   for (const ClientShard& shard : shards_) {
@@ -401,8 +399,18 @@ FleetResult FleetEngine::run() {
 }
 
 FleetRoundStats FleetEngine::run_round(std::int64_t round,
-                                       runtime::ThreadPool* pool) {
-  const auto round_start = std::chrono::steady_clock::now();
+                                       runtime::ThreadPool* pool,
+                                       FleetResult& timing) {
+  // Wall-time ledger: each lap_ms() call returns the milliseconds since the
+  // previous one (or since round start).
+  auto lap_start = std::chrono::steady_clock::now();
+  const auto lap_ms = [&lap_start] {
+    const auto now = std::chrono::steady_clock::now();
+    const double ms =
+        std::chrono::duration<double, std::milli>(now - lap_start).count();
+    lap_start = now;
+    return ms;
+  };
   const faults::FaultInjector* injector =
       injector_.has_value() ? &*injector_ : nullptr;
   const bool fl_faults =
@@ -499,6 +507,7 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
       needed = std::max(needed, shard.participations[i] + 1);
     }
   });
+  timing.select_ms += lap_ms();
 
   // Control plane: apply this round's workload switches BEFORE extension (a
   // switch at round r changes every entry generated from round r on), then
@@ -509,7 +518,6 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
   // ScheduleCache is striped and bit-stable under races).  The fault events
   // buffered during extension flush serially in cluster-index order, so the
   // telemetry stream is identical for every thread count.
-  const auto control_start = std::chrono::steady_clock::now();
   if (scenario != nullptr) {
     for (const faults::TaskSwitchSpec& ts : scenario->task_switches) {
       if (ts.round != round) {
@@ -539,11 +547,8 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
   for (const std::unique_ptr<ClusterEngine>& cluster : clusters_) {
     cluster->flush_fault_events();
   }
-  const double control_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() -
-                                control_start)
-                                .count();
-  control_plane_ms_total_ += control_ms;
+  const double control_ms = lap_ms();
+  timing.control_plane_ms += control_ms;
   if (tel_.control_plane_ms != nullptr) {
     tel_.control_plane_ms->observe(control_ms);
   }
@@ -560,6 +565,8 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
   // Pass 2 (parallel): per-client costs, event pushes, SoA accumulation.
   const double het_cv = config_.heterogeneity_cv;
   const double noise_cv = config_.round_noise_cv;
+  const LognormalMean1 speed_dist(het_cv);
+  const LognormalMean1 jitter_dist(noise_cv);
   const std::uint64_t speed_base = config_.seed ^ kSpeedDomain;
   const std::uint64_t jitter_base = config_.seed ^ kJitterDomain;
   runtime::parallel_for_each(pool, shards_.size(), [&](std::size_t s) {
@@ -576,15 +583,15 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
       double speed = 1.0;
       if (het_cv > 0.0) {
         Rng rng(stream_seed(speed_base, client));
-        speed = rng.lognormal_mean1(het_cv);
+        speed = speed_dist(rng);
       }
       double lat_jitter = 1.0;
       double energy_jitter = 1.0;
       if (noise_cv > 0.0) {
         Rng rng(stream_seed(stream_seed(jitter_base, client),
                             shard.rng_cursor[i]));
-        lat_jitter = rng.lognormal_mean1(noise_cv);
-        energy_jitter = rng.lognormal_mean1(noise_cv);
+        lat_jitter = jitter_dist(rng);
+        energy_jitter = jitter_dist(rng);
       }
       const std::uint64_t elapsed_us =
           scale_us(entry.elapsed_us, speed * lat_jitter);
@@ -640,6 +647,7 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
       }
     }
   });
+  timing.cost_ms += lap_ms();
 
   // Serial: the straggler cutoff needs the fleet-wide reference deadline.
   std::uint64_t deadline_ref_us = 0;
@@ -653,9 +661,10 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
         std::llround(config_.straggler_timeout *
                      static_cast<double>(deadline_ref_us)));
   }
+  timing.merge_ms += lap_ms();
 
-  // Pass 3 (parallel): drain each shard's event queue in (time, client)
-  // order; the round wall and timeout counts come out of the drain.  A
+  // Pass 3 (parallel): close each shard's round in one linear pass over its
+  // events; the round wall and timeout counts come out of the fold.  A
   // timed-out report was discarded by the server, so the client's replay
   // cursor rolls back to retry the SAME trajectory entry next time it is
   // selected — without the resync it would re-enter the next round pointing
@@ -664,6 +673,7 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
   runtime::parallel_for_each(pool, shards_.size(), [&](std::size_t s) {
     ClientShard& shard = shards_[s];
     shard.timed_out_clients.clear();
+    shard.round_stats.queue_peak = shard.queue.size();
     const RoundClose<std::uint64_t> close =
         close_round(shard.queue, cutoff_us, &shard.timed_out_clients);
     const std::size_t begin = shard.range().begin;
@@ -672,9 +682,8 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
     }
     shard.round_stats.wall_us = close.wall;
     shard.round_stats.timed_out = static_cast<std::uint32_t>(close.timed_out);
-    shard.round_stats.queue_peak = shard.queue.peak_depth();
-    shard.queue.reset_peak();
   });
+  timing.close_ms += lap_ms();
 
   // Serial: merge in shard order (integer adds + maxes — layout-invariant).
   ShardRoundStats merged;
@@ -701,11 +710,7 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
   out.rejoined = merged.rejoined;
   out.resets = merged.resets;
   out.battery_blocked = merged.battery_blocked;
-  data_plane_ms_total_ +=
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - round_start)
-          .count() -
-      control_ms;
+  timing.merge_ms += lap_ms();
   return out;
 }
 

@@ -8,15 +8,15 @@
 //     replay, scaled by pure-hash per-client heterogeneity and jitter
 //     (cluster.hpp).  Steady-state per-client cost is O(1); controller
 //     work is O(clusters), not O(clients).
-//   * Round progression is event-driven: every participant pushes one
-//     completion event into its shard's queue; the drain in (timestamp,
-//     client-id) order replaces per-client polling (event_queue.hpp).
+//   * Round progression is event-driven: every participant appends one
+//     completion event to its shard's buffer; one linear fold per shard
+//     closes the round and replaces per-client polling (event_queue.hpp).
 //   * Each round is three parallel shard passes with serial merges between:
 //       pass 1  selection + dropout + needed-trajectory-depth   (parallel)
 //       —— extend cluster trajectories, draw deadline jitter    (serial)
 //       pass 2  per-client costs, event pushes, SoA updates     (parallel)
 //       —— straggler cutoff from the fleet-wide max deadline    (serial)
-//       pass 3  queue drain → round wall / timed-out counts     (parallel)
+//       pass 3  round close → round wall / timed-out counts     (parallel)
 //       —— stats merge, trace hash, telemetry                   (serial)
 //
 // Determinism: every per-client draw is a pure hash of (seed, domain tag,
@@ -102,7 +102,16 @@ struct FleetResult {
   /// data plane + merges).  Timing is observability — host-dependent, so
   /// (like max_queue_depth) NOT in trace_hash and not part of equality.
   double control_plane_ms = 0.0;
-  double data_plane_ms = 0.0;
+  double data_plane_ms = 0.0;  ///< select + cost + close + merge
+  /// The data plane's ledger, one entry per pass: pass 1 (churn, battery,
+  /// cohort selection), pass 2 (per-client costs and event pushes, plus
+  /// the round's deadline-jitter draw), pass 3 (round close and cursor
+  /// resync), and the serial cross-shard reductions (straggler-cutoff
+  /// reference and the shard-order stats merge).
+  double select_ms = 0.0;
+  double cost_ms = 0.0;
+  double close_ms = 0.0;
+  double merge_ms = 0.0;
   std::size_t num_clients = 0;
   std::size_t num_shards = 0;
   std::size_t num_clusters = 0;
@@ -187,8 +196,11 @@ class FleetEngine {
     telemetry::Gauge* active_clients = nullptr;
   };
 
+  /// Runs one round and adds its wall time to `timing`'s control-plane
+  /// and data-plane ledger fields.
   [[nodiscard]] FleetRoundStats run_round(std::int64_t round,
-                                          runtime::ThreadPool* pool);
+                                          runtime::ThreadPool* pool,
+                                          FleetResult& timing);
   void publish_round(const FleetRoundStats& stats);
 
   FleetConfig config_;
@@ -204,11 +216,6 @@ class FleetEngine {
   Telemetry tel_;
   /// Absolute round cursor: the next round index run() will execute.
   std::int64_t next_round_ = 0;
-  /// Lifetime wall-time accumulators behind FleetResult's split: run()
-  /// snapshots them on entry and reports the deltas, so stepped runs
-  /// attribute time to the call that spent it.
-  double control_plane_ms_total_ = 0.0;
-  double data_plane_ms_total_ = 0.0;
   // Battery budget in the engine's integer units (0 when the scenario has
   // no battery process).
   std::uint64_t battery_capacity_uj_ = 0;

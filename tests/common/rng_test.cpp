@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "common/stats.hpp"
 
@@ -130,6 +131,35 @@ TEST(Rng, LognormalMean1HasUnitMean) {
 TEST(Rng, LognormalMean1ZeroCvIsExact) {
   Rng rng(37);
   EXPECT_EQ(rng.lognormal_mean1(0.0), 1.0);
+}
+
+TEST(LognormalMean1, MatchesRngLognormalMean1BitForBit) {
+  for (const double cv : {0.0, 0.01, 0.08, 0.5}) {
+    const LognormalMean1 dist(cv);
+    Rng hoisted(43);
+    Rng per_draw(43);
+    Rng spelled_out(43);
+    // The formula as written before the constants were hoisted: log1p and
+    // sqrt on every draw.
+    const double sigma2 = std::log1p(cv * cv);
+    for (int i = 0; i < 1000; ++i) {
+      const double a = dist(hoisted);
+      const double b = per_draw.lognormal_mean1(cv);
+      const double c = cv == 0.0
+                           ? 1.0
+                           : std::exp(spelled_out.normal(-0.5 * sigma2,
+                                                         std::sqrt(sigma2)));
+      ASSERT_EQ(a, b) << "cv=" << cv << " draw " << i;
+      ASSERT_EQ(a, c) << "cv=" << cv << " draw " << i;
+    }
+    // Both generators consumed the same draws.
+    EXPECT_EQ(hoisted.normal(), per_draw.normal()) << "cv=" << cv;
+    EXPECT_EQ(hoisted(), per_draw()) << "cv=" << cv;
+  }
+}
+
+TEST(LognormalMean1, RejectsNegativeCv) {
+  EXPECT_THROW(LognormalMean1{-0.1}, std::invalid_argument);
 }
 
 TEST(Rng, BernoulliFrequency) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -9,6 +10,7 @@
 #include "device/device_model.hpp"
 #include "device/workload.hpp"
 #include "faults/scenarios.hpp"
+#include "runtime/sharding.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/process.hpp"
 
@@ -174,6 +176,44 @@ TEST(FleetEngine, PublishesFleetTelemetry) {
     EXPECT_TRUE(found_depth_histogram);
   }
   telemetry::set_global_registry(nullptr);
+}
+
+TEST(FleetEngine, MaxQueueDepthIsLargestShardCohort) {
+  // One shard holds the whole cohort, and every participant pushes one
+  // event, so each round's depth is its participant count.  Stepping one
+  // round per run() shows the depth restarts every round rather than
+  // carrying a high-water mark over.
+  FleetConfig one_shard = tiny_config();
+  one_shard.shards = 1;
+  one_shard.rounds = 1;
+  FleetEngine stepped(one_shard);
+  std::uint64_t deepest = 0;
+  for (int round = 0; round < 8; ++round) {
+    const FleetResult step = stepped.run();
+    ASSERT_EQ(step.rounds.size(), 1u);
+    EXPECT_EQ(step.max_queue_depth, step.rounds[0].participants)
+        << "round " << round;
+    deepest = std::max(deepest, step.max_queue_depth);
+  }
+  one_shard.rounds = 8;
+  FleetEngine whole(one_shard);
+  EXPECT_EQ(whole.run().max_queue_depth, deepest);
+
+  // Every client selected every round: a shard's cohort is its client
+  // range, so the deepest queue is the largest shard.
+  FleetConfig full = tiny_config();
+  full.num_clients = 1003;
+  full.cohort_fraction = 1.0;
+  full.shards = 4;
+  full.rounds = 3;
+  std::uint64_t largest_shard = 0;
+  for (std::size_t s = 0; s < full.shards; ++s) {
+    largest_shard = std::max<std::uint64_t>(
+        largest_shard, runtime::shard_range(full.num_clients, full.shards, s)
+                           .size());
+  }
+  FleetEngine engine(full);
+  EXPECT_EQ(engine.run().max_queue_depth, largest_shard);
 }
 
 TEST(FleetEngine, PeakRssProbeIsMonotoneAndPositive) {

@@ -351,7 +351,11 @@ int main(int argc, char** argv) {
                                linalg::simd::active_level())))
         .set("wall_s", wall_s)
         .set("control_plane_ms", result.control_plane_ms)
-        .set("data_plane_ms", result.data_plane_ms);
+        .set("data_plane_ms", result.data_plane_ms)
+        .set("select_ms", result.select_ms)
+        .set("cost_ms", result.cost_ms)
+        .set("close_ms", result.close_ms)
+        .set("merge_ms", result.merge_ms);
     if (has_fleet_scenario) {
       summary.set("fleet_scenario", fleet_scenario_name)
           .set("departed", static_cast<double>(result.total_departed()))
