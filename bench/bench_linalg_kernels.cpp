@@ -1,9 +1,9 @@
-// Dense-linalg kernel sweeps: GEMM, kernel Gram builds, Cholesky
-// factorization and the multi-RHS triangular solve, over the matrix sizes
-// the GP hot path actually sees (tens of observations, ~2100-candidate
-// blocks).  Emits BENCH_linalg_kernels.json so kernel regressions show up
-// in the perf trajectory; the `optimized` flag records whether the binary
-// was compiled with optimization (unoptimized numbers are not comparable).
+// Dense-linalg kernel sweeps: kernel Gram builds, Cholesky factorization
+// and the multi-RHS triangular solve, over the matrix sizes the GP hot path
+// actually sees (tens of observations, ~2100-candidate blocks).  Emits
+// BENCH_linalg_kernels.json so kernel regressions show up in the perf
+// trajectory; the `optimized` flag records whether the binary was compiled
+// with optimization (unoptimized numbers are not comparable).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -33,10 +33,18 @@ linalg::Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   return m;
 }
 
+/// A^T A + n I for a random A: symmetric positive definite.
 linalg::Matrix random_spd(std::size_t n, Rng& rng) {
-  linalg::Matrix a = random_matrix(n, n, rng);
-  linalg::Matrix spd = a.transposed() * a;
+  const linalg::Matrix a = random_matrix(n, n, rng);
+  linalg::Matrix spd(n, n);
   for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double sum = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        sum += a(k, i) * a(k, j);
+      }
+      spd(i, j) = sum;
+    }
     spd(i, i) += static_cast<double>(n);
   }
   return spd;
@@ -149,25 +157,6 @@ int main(int argc, char** argv) {
   const bool optimized = false;
 #endif
   metrics.set("optimized", optimized);
-
-  bench::print_header("Dense GEMM (register-blocked ikj kernel)");
-  std::printf("  %6s %14s %12s\n", "n", "best [ms]", "GFLOP/s");
-  telemetry::JsonValue gemm = telemetry::JsonValue::array();
-  for (const std::size_t n : {32u, 64u, 128u, 256u}) {
-    const linalg::Matrix a = random_matrix(n, n, rng);
-    const linalg::Matrix b = random_matrix(n, n, rng);
-    const double secs = best_seconds(n >= 256 ? 5 : 20, sink, [&] {
-      const linalg::Matrix c = a * b;
-      return c(0, 0);
-    });
-    const double gflops = 2.0 * static_cast<double>(n) * n * n / secs / 1e9;
-    std::printf("  %6zu %14.3f %12.2f\n", n, secs * 1e3, gflops);
-    telemetry::JsonValue row = telemetry::JsonValue::object();
-    row.set("n", n).set("seconds", secs).set("gflops", gflops);
-    gemm.push_back(std::move(row));
-    measured.emplace_back("gemm", n, "seconds", secs);
-  }
-  metrics.set("gemm", std::move(gemm));
 
   bench::print_header("Kernel Gram build (Matérn-5/2, 3-D inputs)",
                       "serial vs. fanned out over the shared worker pool");

@@ -3,7 +3,6 @@
 // simulated devices account energy/time separately).
 #include <benchmark/benchmark.h>
 
-#include "nn/conv.hpp"
 #include "nn/data.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
@@ -28,17 +27,6 @@ void BM_DenseForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseForwardBackward)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_Conv2dForward(benchmark::State& state) {
-  Rng rng(2);
-  Conv2d conv(3, 8, 3, rng);
-  const auto side = static_cast<std::size_t>(state.range(0));
-  const Tensor x = Tensor::randn({8, 3, side, side}, rng, 1.0f);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.forward(x));
-  }
-}
-BENCHMARK(BM_Conv2dForward)->Arg(9)->Arg(17)->Arg(33)->Unit(benchmark::kMicrosecond);
 
 void BM_LstmForwardBackward(benchmark::State& state) {
   Rng rng(3);

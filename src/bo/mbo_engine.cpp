@@ -10,18 +10,6 @@
 
 namespace bofl::bo {
 
-const char* to_string(AcquisitionKind kind) {
-  switch (kind) {
-    case AcquisitionKind::kEhvi:
-      return "ehvi";
-    case AcquisitionKind::kRandomUnobserved:
-      return "random";
-    case AcquisitionKind::kThompsonMarginal:
-      return "thompson";
-  }
-  return "unknown";
-}
-
 MboEngine::MboEngine(std::vector<linalg::Vector> candidates,
                      MboOptions options, std::uint64_t seed)
     : candidates_(std::move(candidates)),

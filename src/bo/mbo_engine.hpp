@@ -34,8 +34,6 @@ enum class AcquisitionKind {
   kThompsonMarginal,
 };
 
-[[nodiscard]] const char* to_string(AcquisitionKind kind);
-
 struct MboOptions {
   gp::KernelFamily kernel_family = gp::KernelFamily::kMatern52;
   AcquisitionKind acquisition = AcquisitionKind::kEhvi;

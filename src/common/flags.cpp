@@ -1,5 +1,6 @@
 #include "common/flags.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -59,10 +60,25 @@ std::int64_t FlagParser::get_int(const std::string& name,
     return fallback;
   }
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(it->second.c_str(), &end, 10);
   BOFL_REQUIRE(end != it->second.c_str() && *end == '\0',
                "flag --" + name + " expects an integer, got: " + it->second);
+  BOFL_REQUIRE(errno != ERANGE,
+               "flag --" + name + " is out of range: " + it->second);
   return value;
+}
+
+std::size_t FlagParser::get_count(const std::string& name,
+                                  std::size_t fallback) const {
+  if (!has(name)) {
+    return fallback;
+  }
+  const std::int64_t value = get_int(name, 0);
+  BOFL_REQUIRE(value >= 0, "flag --" + name +
+                               " expects a non-negative count, got: " +
+                               get(name, ""));
+  return static_cast<std::size_t>(value);
 }
 
 bool FlagParser::get_bool(const std::string& name, bool fallback) const {

@@ -4,6 +4,7 @@
 // Unknown flags are the caller's business: ask for `keys()` and validate.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -24,11 +25,16 @@ class FlagParser {
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
 
-  /// Numeric values; throw std::invalid_argument on unparsable content.
+  /// Numeric values; throw std::invalid_argument on unparsable content
+  /// and on integers outside the int64 range.
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
+  /// A size or count (clients, shards, threads): get_int that also throws
+  /// std::invalid_argument on a negative value instead of wrapping it.
+  [[nodiscard]] std::size_t get_count(const std::string& name,
+                                      std::size_t fallback) const;
 
   /// Boolean switch: present (without value or with "true"/"1") -> true.
   [[nodiscard]] bool get_bool(const std::string& name,

@@ -8,46 +8,6 @@
 
 namespace bofl {
 
-std::vector<std::vector<double>> QuasiRandomSequence::take(std::size_t n) {
-  std::vector<std::vector<double>> points;
-  points.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    points.push_back(next());
-  }
-  return points;
-}
-
-namespace {
-constexpr std::array<std::uint32_t, 8> kPrimes = {2, 3, 5, 7, 11, 13, 17, 19};
-}
-
-HaltonSequence::HaltonSequence(std::size_t dimension, std::size_t leap_burn_in)
-    : dimension_(dimension), index_(leap_burn_in) {
-  BOFL_REQUIRE(dimension >= 1 && dimension <= kPrimes.size(),
-               "HaltonSequence supports 1..8 dimensions");
-}
-
-double HaltonSequence::radical_inverse(std::uint64_t index,
-                                       std::uint32_t base) {
-  double inverse = 0.0;
-  double digit_weight = 1.0 / base;
-  while (index > 0) {
-    inverse += digit_weight * static_cast<double>(index % base);
-    index /= base;
-    digit_weight /= base;
-  }
-  return inverse;
-}
-
-std::vector<double> HaltonSequence::next() {
-  std::vector<double> point(dimension_);
-  ++index_;
-  for (std::size_t d = 0; d < dimension_; ++d) {
-    point[d] = radical_inverse(index_, kPrimes[d]);
-  }
-  return point;
-}
-
 namespace {
 
 // Joe–Kuo direction-number parameters for Sobol dimensions 2..8.
@@ -126,6 +86,15 @@ std::vector<double> SobolSequence::next() {
   }
   ++index_;
   return point;
+}
+
+std::vector<std::vector<double>> SobolSequence::take(std::size_t n) {
+  std::vector<std::vector<double>> points;
+  points.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    points.push_back(next());
+  }
+  return points;
 }
 
 std::vector<std::size_t> to_grid_indices(const std::vector<double>& unit_point,

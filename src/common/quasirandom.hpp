@@ -1,13 +1,10 @@
-// Low-discrepancy (quasi-random) sequences.
+// Low-discrepancy (quasi-random) sequence.
 //
 // BoFL's safe random exploration phase (§4.2 of the paper) samples its
 // starting points "uniformly distributed over X, using a quasi-random
-// number generator".  We provide two generators:
-//   * HaltonSequence — radical-inverse in coprime prime bases, optionally
-//     scrambled; simple and excellent in <= 6 dimensions.
-//   * SobolSequence — direction-number based, supports up to 8 dimensions
-//     with the classic Joe–Kuo parameters embedded.
-// Both produce points in the unit hypercube [0, 1)^d.
+// number generator".  SobolSequence is direction-number based, supports up
+// to 8 dimensions with the classic Joe–Kuo parameters embedded, and
+// produces points in the unit hypercube [0, 1)^d.
 #pragma once
 
 #include <cstdint>
@@ -15,48 +12,18 @@
 
 namespace bofl {
 
-/// Abstract interface: a stream of d-dimensional points in [0,1)^d.
-class QuasiRandomSequence {
- public:
-  virtual ~QuasiRandomSequence() = default;
-
-  [[nodiscard]] virtual std::size_t dimension() const = 0;
-
-  /// The next point in the sequence.
-  [[nodiscard]] virtual std::vector<double> next() = 0;
-
-  /// Convenience: the next n points.
-  [[nodiscard]] std::vector<std::vector<double>> take(std::size_t n);
-};
-
-/// Halton sequence with per-dimension prime bases (2, 3, 5, ...).
-/// `leap_burn_in` drops the first few points, which are known to be poorly
-/// distributed in higher bases.
-class HaltonSequence final : public QuasiRandomSequence {
- public:
-  explicit HaltonSequence(std::size_t dimension, std::size_t leap_burn_in = 20);
-
-  [[nodiscard]] std::size_t dimension() const override { return dimension_; }
-  [[nodiscard]] std::vector<double> next() override;
-
-  /// Radical inverse of `index` in base `base` (exposed for testing).
-  [[nodiscard]] static double radical_inverse(std::uint64_t index,
-                                              std::uint32_t base);
-
- private:
-  std::size_t dimension_;
-  std::uint64_t index_;
-};
-
 /// Sobol sequence (Gray-code construction) for up to 8 dimensions.
-class SobolSequence final : public QuasiRandomSequence {
+class SobolSequence {
  public:
   static constexpr std::size_t kMaxDimension = 8;
 
   explicit SobolSequence(std::size_t dimension);
 
-  [[nodiscard]] std::size_t dimension() const override { return dimension_; }
-  [[nodiscard]] std::vector<double> next() override;
+  [[nodiscard]] std::size_t dimension() const { return dimension_; }
+  /// The next point in the sequence.
+  [[nodiscard]] std::vector<double> next();
+  /// The next n points.
+  [[nodiscard]] std::vector<std::vector<double>> take(std::size_t n);
 
  private:
   std::size_t dimension_;

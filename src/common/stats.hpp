@@ -18,10 +18,6 @@ namespace bofl {
 /// Standard normal cumulative distribution (via erfc for accuracy in tails).
 [[nodiscard]] double normal_cdf(double z);
 
-/// Inverse standard normal CDF (Acklam's rational approximation, refined by
-/// one Halley step; |error| < 1e-12 over (1e-300, 1-1e-16)).
-[[nodiscard]] double normal_quantile(double p);
-
 /// Hypervolume-improvement building block (Emmerich & Yang):
 ///   psi(a, b, mu, sigma) = E[max(a - Y, 0) * 1{Y <= b}] for Y ~ N(mu, s^2)
 ///                        = sigma * pdf((b-mu)/sigma) + (a-mu) * cdf((b-mu)/sigma)

@@ -66,15 +66,6 @@ Seconds DeadlineGenerator::next() {
   return Seconds{rng_.uniform(t_min_.value(), t_min_.value() * ratio_)};
 }
 
-std::vector<Seconds> DeadlineGenerator::generate(std::size_t rounds) {
-  std::vector<Seconds> deadlines;
-  deadlines.reserve(rounds);
-  for (std::size_t i = 0; i < rounds; ++i) {
-    deadlines.push_back(next());
-  }
-  return deadlines;
-}
-
 std::vector<RoundSpec> make_rounds(const FlTaskSpec& task,
                                    const device::DeviceModel& model,
                                    double max_over_min_ratio,

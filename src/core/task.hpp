@@ -52,7 +52,6 @@ class DeadlineGenerator {
                     std::uint64_t seed);
 
   [[nodiscard]] Seconds next();
-  [[nodiscard]] std::vector<Seconds> generate(std::size_t rounds);
 
  private:
   Seconds t_min_;

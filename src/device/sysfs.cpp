@@ -1,10 +1,6 @@
 #include "device/sysfs.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
 
@@ -21,14 +17,6 @@ std::string format_integer(double value) {
   return buffer;
 }
 
-double parse_number(const std::string& text) {
-  try {
-    return std::stod(text);
-  } catch (const std::exception&) {
-    BOFL_ASSERT(false, "malformed sysfs file content: " + text);
-  }
-}
-
 }  // namespace
 
 void SysfsTree::write(const std::string& path, const std::string& value) {
@@ -39,49 +27,6 @@ const std::string& SysfsTree::read(const std::string& path) const {
   const auto it = files_.find(path);
   BOFL_REQUIRE(it != files_.end(), "no such sysfs file: " + path);
   return it->second;
-}
-
-bool SysfsTree::exists(const std::string& path) const {
-  return files_.contains(path);
-}
-
-std::vector<std::string> SysfsTree::paths() const {
-  std::vector<std::string> out;
-  out.reserve(files_.size());
-  for (const auto& [path, value] : files_) {
-    out.push_back(path);
-  }
-  return out;
-}
-
-void SysfsTree::materialize(const std::string& root) const {
-  namespace fs = std::filesystem;
-  BOFL_REQUIRE(!root.empty(), "materialize needs a root directory");
-  for (const auto& [path, value] : files_) {
-    const fs::path target = fs::path(root + path);
-    fs::create_directories(target.parent_path());
-    std::ofstream out(target);
-    BOFL_REQUIRE(out.is_open(), "cannot write sysfs file: " + target.string());
-    out << value;
-  }
-}
-
-SysfsTree SysfsTree::load_from(const std::string& root) {
-  namespace fs = std::filesystem;
-  BOFL_REQUIRE(fs::is_directory(root), "no such directory: " + root);
-  SysfsTree tree;
-  for (const auto& entry : fs::recursive_directory_iterator(root)) {
-    if (!entry.is_regular_file()) {
-      continue;
-    }
-    std::ifstream in(entry.path());
-    std::ostringstream content;
-    content << in.rdbuf();
-    const std::string relative =
-        "/" + fs::relative(entry.path(), root).generic_string();
-    tree.write(relative, content.str());
-  }
-  return tree;
 }
 
 SysfsDvfsController::SysfsDvfsController(const DvfsSpace& space)
@@ -106,33 +51,6 @@ void SysfsDvfsController::apply(const DvfsConfig& config) {
       space_.gpu_freq(config).value() * kHertzPerGigaHertz);
   pin(kMemMinPath, kMemMaxPath, kMemCurPath,
       space_.mem_freq(config).value() * kHertzPerGigaHertz);
-}
-
-void SysfsDvfsController::request_raw(double cpu_khz, double gpu_hz,
-                                      double mem_hz) {
-  BOFL_REQUIRE(cpu_khz > 0.0 && gpu_hz > 0.0 && mem_hz > 0.0,
-               "requested rates must be positive");
-  // Snap to the nearest supported step, then pin as usual.
-  DvfsConfig snapped;
-  snapped.cpu = space_.cpu_table().nearest_index(
-      GigaHertz{cpu_khz / kKiloHertzPerGigaHertz});
-  snapped.gpu = space_.gpu_table().nearest_index(
-      GigaHertz{gpu_hz / kHertzPerGigaHertz});
-  snapped.mem = space_.mem_table().nearest_index(
-      GigaHertz{mem_hz / kHertzPerGigaHertz});
-  apply(snapped);
-}
-
-DvfsConfig SysfsDvfsController::current() const {
-  DvfsConfig config;
-  config.cpu = space_.cpu_table().nearest_index(
-      GigaHertz{parse_number(tree_.read(kCpuCurPath)) /
-                kKiloHertzPerGigaHertz});
-  config.gpu = space_.gpu_table().nearest_index(
-      GigaHertz{parse_number(tree_.read(kGpuCurPath)) / kHertzPerGigaHertz});
-  config.mem = space_.mem_table().nearest_index(
-      GigaHertz{parse_number(tree_.read(kMemCurPath)) / kHertzPerGigaHertz});
-  return config;
 }
 
 }  // namespace bofl::device

@@ -10,7 +10,6 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "device/frequency.hpp"
 
@@ -24,20 +23,6 @@ class SysfsTree {
 
   /// Read a file; throws std::invalid_argument if it does not exist.
   [[nodiscard]] const std::string& read(const std::string& path) const;
-
-  [[nodiscard]] bool exists(const std::string& path) const;
-
-  /// All file paths, sorted (for inspection and tests).
-  [[nodiscard]] std::vector<std::string> paths() const;
-
-  /// Materialize the tree under `root` on the real filesystem: each sysfs
-  /// path becomes root + path with its current content.  Used to hand a
-  /// snapshot to external tooling (or to diff against a live /sys).
-  void materialize(const std::string& root) const;
-
-  /// Load every regular file under `root` back into a tree (paths relative
-  /// to root, with a leading '/').  Inverse of materialize().
-  [[nodiscard]] static SysfsTree load_from(const std::string& root);
 
  private:
   std::map<std::string, std::string> files_;
@@ -53,16 +38,6 @@ class SysfsDvfsController {
 
   /// Pin all three units to `config` (writes min_freq and max_freq).
   void apply(const DvfsConfig& config);
-
-  /// Parse the cur_freq files back into a configuration, snapping each
-  /// value to the nearest table step — mirrors how the kernel clamps
-  /// arbitrary requested rates.
-  [[nodiscard]] DvfsConfig current() const;
-
-  /// Request an arbitrary CPU kHz / GPU Hz / MEM Hz rate (not necessarily a
-  /// table value); the controller clamps to the nearest step like the
-  /// kernel does.  Exposed for the sysfs-semantics tests.
-  void request_raw(double cpu_khz, double gpu_hz, double mem_hz);
 
   [[nodiscard]] const SysfsTree& tree() const { return tree_; }
 

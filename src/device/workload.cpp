@@ -2,18 +2,6 @@
 
 namespace bofl::device {
 
-const char* to_string(WorkloadClass c) {
-  switch (c) {
-    case WorkloadClass::kTransformer:
-      return "transformer";
-    case WorkloadClass::kCnn:
-      return "cnn";
-    case WorkloadClass::kRnn:
-      return "rnn";
-  }
-  return "unknown";
-}
-
 // The work constants are calibrated so that, on the Jetson AGX model at
 // x_max = (2.26, 1.38, 2.13) GHz, the per-minibatch latency matches the
 // values implied by the paper's Table 2 (T_min = T(x_max) · W):

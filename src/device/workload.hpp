@@ -33,8 +33,6 @@ enum class WorkloadClass {
   kRnn,
 };
 
-[[nodiscard]] const char* to_string(WorkloadClass c);
-
 struct WorkloadProfile {
   std::string name;
   WorkloadClass workload_class = WorkloadClass::kCnn;

@@ -27,19 +27,6 @@ FaultSpec per_round(FaultKind kind, double magnitude, double probability) {
 
 }  // namespace
 
-const std::vector<std::string>& scenario_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> list;
-    for (const ScenarioInfo& info : all_scenarios()) {
-      if (!info.hidden) {
-        list.push_back(info.name);
-      }
-    }
-    return list;
-  }();
-  return names;
-}
-
 const std::vector<ScenarioInfo>& all_scenarios() {
   static const std::vector<ScenarioInfo> catalog = {
       {"clean", "no faults; the baseline every invariant compares to",
@@ -103,8 +90,8 @@ FaultPlan make_scenario(const std::string& name, std::uint64_t seed,
     // Knowledge-plane poisoning probe: the unit is thermally degraded for
     // the WHOLE run (1.5x slower, from the first job), so a cluster prior
     // calibrated on healthy devices mispredicts immediately and the
-    // controller must demote it to cold-start.  Deliberately NOT in
-    // scenario_names(): the generic scenario sweep asserts that at least
+    // controller must demote it to cold-start.  Deliberately hidden from
+    // the generic scenario sweep, which asserts that at least
     // half of each run's rounds are pessimistically feasible, which a
     // persistent 1.5x slowdown under tight ratios does not guarantee —
     // this plan exists for the dedicated prior tests (prior_scenario_test).

@@ -12,22 +12,17 @@
 
 namespace bofl::faults {
 
-/// All scenario names accepted by make_scenario, in a stable order
-/// ("clean" first).
-[[nodiscard]] const std::vector<std::string>& scenario_names();
-
 /// One catalog row for scenario discoverability (`--list-scenarios`).
-/// `hidden` marks scenarios make_scenario accepts but scenario_names()
-/// omits — probes excluded from the generic sweep whose invariants they
-/// deliberately break (today: "prior-poisoned").
+/// `hidden` marks probes excluded from the generic sweep, whose invariants
+/// they deliberately break (today: "prior-poisoned").
 struct ScenarioInfo {
   std::string name;
   std::string description;
   bool hidden = false;
 };
 
-/// Every scenario make_scenario accepts — public names in scenario_names()
-/// order, then hidden ones — each with a one-line description.
+/// Every scenario make_scenario accepts — public names in a stable order
+/// ("clean" first), then hidden ones — each with a one-line description.
 [[nodiscard]] const std::vector<ScenarioInfo>& all_scenarios();
 
 /// Build the named scenario.  Device episode windows scale with

@@ -28,18 +28,6 @@ constexpr double kUploadSafetyFactor = 1.25;
 
 }  // namespace
 
-const char* to_string(DeadlinePolicyKind kind) {
-  switch (kind) {
-    case DeadlinePolicyKind::kUniformSlack:
-      return "uniform-slack";
-    case DeadlinePolicyKind::kStaticTimeout:
-      return "static-timeout";
-    case DeadlinePolicyKind::kAdaptiveSlack:
-      return "adaptive-slack";
-  }
-  return "unknown";
-}
-
 Joules FlSimulationResult::total_energy() const {
   Joules total{0.0};
   for (const FlRoundStats& r : rounds) {

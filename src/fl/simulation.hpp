@@ -30,8 +30,6 @@ enum class DeadlinePolicyKind {
   kAdaptiveSlack,  ///< tighten-on-success / back-off-on-miss
 };
 
-[[nodiscard]] const char* to_string(DeadlinePolicyKind kind);
-
 /// Which model architecture the fleet trains.
 enum class FleetModel {
   kMlp,   ///< Gaussian-blob classification (image-task stand-in)

@@ -14,8 +14,8 @@ namespace {
 using DotFn = double (*)(const double*, const double*, std::size_t);
 
 /// The row-prefix dot behind every inner reduction here (historically the
-/// local dot_n four-way accumulator split, now simd::dot_blocked).  The
-/// factorizations call it O(n^2) times on short prefixes, so each entry
+/// local dot_n four-way accumulator split, now simd::dot_blocked_scalar).
+/// The factorizations call it O(n^2) times on short prefixes, so each entry
 /// point hoists the dispatch branch out of its loops by picking the
 /// implementation once.
 inline DotFn pick_dot() {

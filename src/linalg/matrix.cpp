@@ -1,7 +1,5 @@
 #include "linalg/matrix.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 #include "linalg/simd/kernels.hpp"
 
@@ -20,14 +18,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    m(i, i) = 1.0;
-  }
-  return m;
-}
-
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -38,47 +28,19 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
-Matrix& Matrix::operator+=(const Matrix& other) {
-  BOFL_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-               "matrix addition requires equal shapes");
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += other.data_[i];
-  }
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  BOFL_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-               "matrix subtraction requires equal shapes");
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] -= other.data_[i];
-  }
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (double& v : data_) {
-    v *= s;
-  }
-  return *this;
-}
-
-Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
-Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
-Matrix operator*(Matrix a, double s) { return a *= s; }
-Matrix operator*(double s, Matrix a) { return a *= s; }
-
 Matrix operator*(const Matrix& a, const Matrix& b) {
   BOFL_REQUIRE(a.cols() == b.rows(), "matrix product shape mismatch");
-  const std::size_t m = a.rows();
-  const std::size_t kk = a.cols();
-  const std::size_t n = b.cols();
-  Matrix c(m, n, 0.0);
-  // Register-blocked GEMM, dispatched once per call on the resolved SIMD
-  // level (linalg/simd/kernels.hpp): the scalar path is the historical ikj
-  // kernel verbatim; the AVX2 path holds 4x8 output tiles in FMA
-  // accumulators across the whole k extent.
-  simd::gemm(a.row(0), m, kk, b.row(0), n, c.row(0));
+  Matrix c(a.rows(), b.cols(), 0.0);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double* ci = c.row(i);
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      const double aik = a(i, k);
+      const double* bk = b.row(k);
+      for (std::size_t j = 0; j < b.cols(); ++j) {
+        ci[j] += aik * bk[j];
+      }
+    }
+  }
   return c;
 }
 
@@ -100,27 +62,6 @@ Vector operator*(const Matrix& a, const Vector& x) {
 double dot(const Vector& a, const Vector& b) {
   BOFL_REQUIRE(a.size() == b.size(), "dot product requires equal sizes");
   return simd::dot_serial(a.data(), b.data(), a.size());
-}
-
-double norm2(const Vector& a) { return std::sqrt(dot(a, a)); }
-
-double squared_distance(const Vector& a, const Vector& b) {
-  BOFL_REQUIRE(a.size() == b.size(), "distance requires equal sizes");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    sum += d * d;
-  }
-  return sum;
-}
-
-Vector axpy(const Vector& a, double s, const Vector& b) {
-  BOFL_REQUIRE(a.size() == b.size(), "axpy requires equal sizes");
-  Vector y(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    y[i] = a[i] + s * b[i];
-  }
-  return y;
 }
 
 }  // namespace bofl::linalg

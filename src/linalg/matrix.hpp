@@ -24,8 +24,6 @@ class Matrix {
   /// Construct from nested initializer lists (rows of equal length).
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  [[nodiscard]] static Matrix identity(std::size_t n);
-
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
 
@@ -46,11 +44,9 @@ class Matrix {
     return data_.data() + r * cols_;
   }
 
+  /// With the two products below: the L·Lᵀ and A·x oracles of the
+  /// Cholesky tests.
   [[nodiscard]] Matrix transposed() const;
-
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
-  Matrix& operator*=(double s);
 
  private:
   std::size_t rows_ = 0;
@@ -58,23 +54,10 @@ class Matrix {
   std::vector<double> data_;
 };
 
-[[nodiscard]] Matrix operator+(Matrix a, const Matrix& b);
-[[nodiscard]] Matrix operator-(Matrix a, const Matrix& b);
-[[nodiscard]] Matrix operator*(Matrix a, double s);
-[[nodiscard]] Matrix operator*(double s, Matrix a);
 [[nodiscard]] Matrix operator*(const Matrix& a, const Matrix& b);
 [[nodiscard]] Vector operator*(const Matrix& a, const Vector& x);
 
 /// Dot product; requires equal sizes.
 [[nodiscard]] double dot(const Vector& a, const Vector& b);
-
-/// Euclidean norm.
-[[nodiscard]] double norm2(const Vector& a);
-
-/// Squared Euclidean distance between two equally sized vectors.
-[[nodiscard]] double squared_distance(const Vector& a, const Vector& b);
-
-/// a + s * b, element-wise; requires equal sizes.
-[[nodiscard]] Vector axpy(const Vector& a, double s, const Vector& b);
 
 }  // namespace bofl::linalg

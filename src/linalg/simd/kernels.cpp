@@ -15,19 +15,6 @@ double dot_serial(const double* a, const double* b, std::size_t n) {
   return use_avx2() ? dot_avx2(a, b, n) : dot_serial_scalar(a, b, n);
 }
 
-double dot_blocked(const double* a, const double* b, std::size_t n) {
-  return use_avx2() ? dot_avx2(a, b, n) : dot_blocked_scalar(a, b, n);
-}
-
-void gemm(const double* a, std::size_t m, std::size_t k, const double* b,
-          std::size_t n, double* c) {
-  if (use_avx2()) {
-    gemm_avx2(a, m, k, b, n, c);
-  } else {
-    gemm_scalar(a, m, k, b, n, c);
-  }
-}
-
 void solve_lower_multi_inplace(const double* l, std::size_t n, double* x,
                                std::size_t m) {
   if (use_avx2()) {

@@ -14,7 +14,7 @@
 //     mul/add/sub/div/sqrt/min-max-emulation — never FMA, because the
 //     scalar reference is compiled without contraction — and every output
 //     element depends only on its own inputs.
-//   * Reduction kernels (dot_*, gemm, solve_lower_multi_inplace,
+//   * Reduction kernels (dot_*, solve_lower_multi_inplace,
 //     sumsq_rows_accumulate, corr_row) fuse with FMA on the AVX2 path and
 //     are tolerance-pinned against scalar; their lane-accumulation order is
 //     fixed, so a given level is bit-deterministic across runs, thread
@@ -43,25 +43,13 @@ namespace bofl::linalg::simd {
 [[nodiscard]] double dot_serial_scalar(const double* a, const double* b,
                                        std::size_t n);
 
-/// Four-way-split dot (the Cholesky dot_n reference).
-[[nodiscard]] double dot_blocked(const double* a, const double* b,
-                                 std::size_t n);
+/// Four-way-split dot (the Cholesky dot_n reference); cholesky.cpp picks it
+/// or dot_avx2 once per factorization instead of dispatching per call.
 [[nodiscard]] double dot_blocked_scalar(const double* a, const double* b,
                                         std::size_t n);
 
 /// Shared AVX2 dot: four 4-lane FMA accumulators, fixed combine order.
 [[nodiscard]] double dot_avx2(const double* a, const double* b, std::size_t n);
-
-// ---------------------------------------------------------------------------
-// GEMM: c[m x n] = a[m x k] * b[k x n], all row-major and dense; `c` must
-// be zero-filled by the caller (linalg::operator* allocates it that way).
-
-void gemm(const double* a, std::size_t m, std::size_t k, const double* b,
-          std::size_t n, double* c);
-void gemm_scalar(const double* a, std::size_t m, std::size_t k,
-                 const double* b, std::size_t n, double* c);
-void gemm_avx2(const double* a, std::size_t m, std::size_t k, const double* b,
-               std::size_t n, double* c);
 
 // ---------------------------------------------------------------------------
 // Blocked forward substitution: solve L X = B in place for the m columns of

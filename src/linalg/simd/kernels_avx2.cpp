@@ -80,85 +80,6 @@ double dot_avx2(const double* a, const double* b, std::size_t n) {
   return vec + tail;
 }
 
-namespace {
-
-/// GEMM micro-kernel: one row strip of a (1 or 4 rows) against the full
-/// width of b, accumulating into registers over the whole k extent and
-/// storing each c tile exactly once (c arrives zero-filled).
-template <int Rows>
-void gemm_rows(const double* a, std::size_t k, const double* b, std::size_t n,
-               double* c) {
-  std::size_t j = 0;
-  // 8-column tiles: Rows x 2 vector accumulators held across the k loop.
-  for (; j + 8 <= n; j += 8) {
-    __m256d acc[Rows][2];
-    for (int r = 0; r < Rows; ++r) {
-      acc[r][0] = _mm256_setzero_pd();
-      acc[r][1] = _mm256_setzero_pd();
-    }
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double* bk = b + kk * n + j;
-      const __m256d b0 = _mm256_loadu_pd(bk);
-      const __m256d b1 = _mm256_loadu_pd(bk + 4);
-      for (int r = 0; r < Rows; ++r) {
-        const __m256d av = _mm256_broadcast_sd(a + r * k + kk);
-        acc[r][0] = _mm256_fmadd_pd(av, b0, acc[r][0]);
-        acc[r][1] = _mm256_fmadd_pd(av, b1, acc[r][1]);
-      }
-    }
-    for (int r = 0; r < Rows; ++r) {
-      _mm256_storeu_pd(c + r * n + j, acc[r][0]);
-      _mm256_storeu_pd(c + r * n + j + 4, acc[r][1]);
-    }
-  }
-  for (; j + 4 <= n; j += 4) {
-    __m256d acc[Rows];
-    for (int r = 0; r < Rows; ++r) {
-      acc[r] = _mm256_setzero_pd();
-    }
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const __m256d bv = _mm256_loadu_pd(b + kk * n + j);
-      for (int r = 0; r < Rows; ++r) {
-        acc[r] = _mm256_fmadd_pd(_mm256_broadcast_sd(a + r * k + kk), bv,
-                                 acc[r]);
-      }
-    }
-    for (int r = 0; r < Rows; ++r) {
-      _mm256_storeu_pd(c + r * n + j, acc[r]);
-    }
-  }
-  if (j < n) {
-    const __m256i mask = tail_mask(n - j);
-    __m256d acc[Rows];
-    for (int r = 0; r < Rows; ++r) {
-      acc[r] = _mm256_setzero_pd();
-    }
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const __m256d bv = _mm256_maskload_pd(b + kk * n + j, mask);
-      for (int r = 0; r < Rows; ++r) {
-        acc[r] = _mm256_fmadd_pd(_mm256_broadcast_sd(a + r * k + kk), bv,
-                                 acc[r]);
-      }
-    }
-    for (int r = 0; r < Rows; ++r) {
-      _mm256_maskstore_pd(c + r * n + j, mask, acc[r]);
-    }
-  }
-}
-
-}  // namespace
-
-void gemm_avx2(const double* a, std::size_t m, std::size_t k, const double* b,
-               std::size_t n, double* c) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    gemm_rows<4>(a + i * k, k, b, n, c + i * n);
-  }
-  for (; i < m; ++i) {
-    gemm_rows<1>(a + i * k, k, b, n, c + i * n);
-  }
-}
-
 void solve_lower_multi_inplace_avx2(const double* l, std::size_t n, double* x,
                                     std::size_t m) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -543,10 +464,6 @@ namespace {
 }  // namespace
 
 double dot_avx2(const double*, const double*, std::size_t) {
-  unreachable_stub();
-}
-void gemm_avx2(const double*, std::size_t, std::size_t, const double*,
-               std::size_t, double*) {
   unreachable_stub();
 }
 void solve_lower_multi_inplace_avx2(const double*, std::size_t, double*,

@@ -43,47 +43,6 @@ double dot_blocked_scalar(const double* a, const double* b, std::size_t n) {
   return ((s0 + s1) + (s2 + s3)) + tail;
 }
 
-// Register-blocked ikj kernel: four output rows share each streamed row of
-// b, so b is read once per four rows of a instead of once per row.  The
-// inner j loop is branch-free and unit-stride on both c and b.
-void gemm_scalar(const double* a, std::size_t m, std::size_t k,
-                 const double* b, std::size_t n, double* c) {
-  constexpr std::size_t kRowBlock = 4;
-  std::size_t i = 0;
-  for (; i + kRowBlock <= m; i += kRowBlock) {
-    double* c0 = c + i * n;
-    double* c1 = c0 + n;
-    double* c2 = c1 + n;
-    double* c3 = c2 + n;
-    const double* a0 = a + i * k;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double* bk = b + kk * n;
-      const double v0 = a0[kk];
-      const double v1 = a0[k + kk];
-      const double v2 = a0[2 * k + kk];
-      const double v3 = a0[3 * k + kk];
-      for (std::size_t j = 0; j < n; ++j) {
-        const double bkj = bk[j];
-        c0[j] += v0 * bkj;
-        c1[j] += v1 * bkj;
-        c2[j] += v2 * bkj;
-        c3[j] += v3 * bkj;
-      }
-    }
-  }
-  for (; i < m; ++i) {  // remainder rows
-    double* ci = c + i * n;
-    const double* ai = a + i * k;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double* bk = b + kk * n;
-      const double aik = ai[kk];
-      for (std::size_t j = 0; j < n; ++j) {
-        ci[j] += aik * bk[j];
-      }
-    }
-  }
-}
-
 // Forward substitution vectorized across the m right-hand sides: the inner
 // loop is a unit-stride axpy over row i, so one pass through L serves the
 // whole block instead of m independent strided solves.

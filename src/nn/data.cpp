@@ -98,40 +98,4 @@ Dataset make_sequences(std::size_t n, std::size_t time, std::size_t dim,
   return ds;
 }
 
-Dataset make_images(std::size_t n, std::size_t channels, std::size_t height,
-                    std::size_t width, std::size_t classes,
-                    std::uint64_t seed, double noise) {
-  BOFL_REQUIRE(n > 0 && channels > 0 && classes >= 2,
-               "degenerate dataset shape");
-  BOFL_REQUIRE(height >= 4 && width >= 4, "images must be at least 4x4");
-  Rng rng(seed);
-  // Class-specific blob centers shared across shards.
-  Rng proto_rng(0x1AB5EEDULL + classes * 41 + height * 7 + width);
-  std::vector<std::pair<std::size_t, std::size_t>> centers;
-  for (std::size_t k = 0; k < classes; ++k) {
-    centers.emplace_back(1 + proto_rng.uniform_index(height - 2),
-                         1 + proto_rng.uniform_index(width - 2));
-  }
-  Dataset ds;
-  ds.features = Tensor({n, channels, height, width});
-  ds.labels.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t label = rng.uniform_index(classes);
-    ds.labels[i] = static_cast<std::int64_t>(label);
-    const auto [cy, cx] = centers[label];
-    for (std::size_t c = 0; c < channels; ++c) {
-      for (std::size_t y = 0; y < height; ++y) {
-        for (std::size_t x = 0; x < width; ++x) {
-          const bool in_blob = y + 1 >= cy && y <= cy + 1 &&
-                               x + 1 >= cx && x <= cx + 1;
-          const double value = (in_blob ? 1.0 : 0.0) + rng.normal(0.0, noise);
-          ds.features[((i * channels + c) * height + y) * width + x] =
-              static_cast<float>(value);
-        }
-      }
-    }
-  }
-  return ds;
-}
-
 }  // namespace bofl::nn

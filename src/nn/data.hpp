@@ -43,13 +43,4 @@ struct Dataset {
                                      std::size_t dim, std::size_t classes,
                                      std::uint64_t seed, double noise = 0.6);
 
-/// Tiny-image classification (NCHW rank-4 features): each class places a
-/// bright square at a class-specific location on a noisy background — the
-/// spatial structure a convolution exploits and a flat MLP cannot see as
-/// easily.
-[[nodiscard]] Dataset make_images(std::size_t n, std::size_t channels,
-                                  std::size_t height, std::size_t width,
-                                  std::size_t classes, std::uint64_t seed,
-                                  double noise = 0.4);
-
 }  // namespace bofl::nn

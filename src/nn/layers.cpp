@@ -13,7 +13,7 @@ void Layer::zero_gradients() {
 }
 
 Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
-    // He-style initialization scaled for the tanh/ReLU mixes we build.
+    // He-style initialization scaled for the ReLU stacks we build.
     : weight_(Tensor::randn(
           {in_features, out_features}, rng,
           static_cast<float>(std::sqrt(2.0 / static_cast<double>(in_features))))),
@@ -74,26 +74,6 @@ Tensor ReLU::backward(const Tensor& grad_output) {
     if (cached_input_[i] <= 0.0f) {
       grad[i] = 0.0f;
     }
-  }
-  return grad;
-}
-
-Tensor Tanh::forward(const Tensor& input) {
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = std::tanh(out[i]);
-  }
-  cached_output_ = out;
-  return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  BOFL_REQUIRE(grad_output.shape() == cached_output_.shape(),
-               "Tanh backward shape mismatch");
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    const float y = cached_output_[i];
-    grad[i] *= (1.0f - y * y);
   }
   return grad;
 }

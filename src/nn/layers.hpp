@@ -65,14 +65,4 @@ class ReLU final : public Layer {
   Tensor cached_input_;
 };
 
-/// Hyperbolic tangent.
-class Tanh final : public Layer {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-
- private:
-  Tensor cached_output_;
-};
-
 }  // namespace bofl::nn

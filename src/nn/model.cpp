@@ -106,24 +106,4 @@ Sequential make_lstm_classifier(std::size_t input_features, std::size_t hidden,
   return model;
 }
 
-Sequential make_cnn_classifier(std::size_t channels, std::size_t height,
-                               std::size_t width, std::size_t filters,
-                               std::size_t kernel, std::size_t classes,
-                               Rng& rng) {
-  BOFL_REQUIRE(height >= kernel && width >= kernel,
-               "image smaller than the kernel");
-  const std::size_t conv_h = height - kernel + 1;
-  const std::size_t conv_w = width - kernel + 1;
-  BOFL_REQUIRE(conv_h % 2 == 0 && conv_w % 2 == 0,
-               "conv output must be even for 2x2 pooling");
-  Sequential model;
-  model.add(std::make_unique<Conv2d>(channels, filters, kernel, rng));
-  model.add(std::make_unique<ReLU>());
-  model.add(std::make_unique<MaxPool2d>());
-  model.add(std::make_unique<Flatten>());
-  model.add(std::make_unique<Dense>(filters * (conv_h / 2) * (conv_w / 2),
-                                    classes, rng));
-  return model;
-}
-
 }  // namespace bofl::nn

@@ -9,7 +9,6 @@
 #include <memory>
 #include <string>
 
-#include "nn/conv.hpp"
 #include "nn/layers.hpp"
 #include "nn/lstm.hpp"
 
@@ -52,15 +51,5 @@ class Sequential {
 [[nodiscard]] Sequential make_lstm_classifier(std::size_t input_features,
                                               std::size_t hidden,
                                               std::size_t classes, Rng& rng);
-
-/// Small CNN: Conv(kxk) -> ReLU -> MaxPool(2x2) -> Flatten -> Dense.
-/// Input (batch, channels, height, width); (height-k+1) and (width-k+1)
-/// must be even for the pool.
-[[nodiscard]] Sequential make_cnn_classifier(std::size_t channels,
-                                             std::size_t height,
-                                             std::size_t width,
-                                             std::size_t filters,
-                                             std::size_t kernel,
-                                             std::size_t classes, Rng& rng);
 
 }  // namespace bofl::nn

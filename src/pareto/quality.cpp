@@ -48,11 +48,6 @@ double additive_epsilon(const std::vector<Point2>& approximation,
   return eps;
 }
 
-double generational_distance(const std::vector<Point2>& approximation,
-                             const std::vector<Point2>& reference) {
-  return mean_nearest_distance(approximation, reference);
-}
-
 double inverted_generational_distance(
     const std::vector<Point2>& approximation,
     const std::vector<Point2>& reference) {

@@ -14,13 +14,6 @@ namespace bofl::pareto {
 [[nodiscard]] double additive_epsilon(const std::vector<Point2>& approximation,
                                       const std::vector<Point2>& reference);
 
-/// Generational distance: mean Euclidean distance from each approximation
-/// point to its nearest reference point (how *accurate* the approximation
-/// is; 0 when every point lies on the reference front).
-[[nodiscard]] double generational_distance(
-    const std::vector<Point2>& approximation,
-    const std::vector<Point2>& reference);
-
 /// Inverted generational distance: mean distance from each reference point
 /// to its nearest approximation point (how *complete* the coverage is).
 [[nodiscard]] double inverted_generational_distance(

@@ -184,11 +184,6 @@ double KnowledgeStore::confidence(const ClusterKey& key) const {
          (verified + options_.misprediction_weight * mispredicted);
 }
 
-const ClusterKnowledge* KnowledgeStore::lookup(const ClusterKey& key) const {
-  const auto it = clusters_.find(key);
-  return it == clusters_.end() ? nullptr : &it->second;
-}
-
 std::string KnowledgeStore::to_json() const {
   telemetry::JsonValue root = telemetry::JsonValue::object();
   root.set("version", 1);

@@ -75,7 +75,6 @@ class KnowledgeStore {
   /// 1 when the cluster has no outcomes yet, 0 when unknown.
   [[nodiscard]] double confidence(const ClusterKey& key) const;
 
-  [[nodiscard]] const ClusterKnowledge* lookup(const ClusterKey& key) const;
   [[nodiscard]] std::size_t num_clusters() const { return clusters_.size(); }
   [[nodiscard]] const std::map<ClusterKey, ClusterKnowledge>& clusters()
       const {

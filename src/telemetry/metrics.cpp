@@ -108,18 +108,6 @@ std::vector<double> exponential_buckets(double start, double factor,
   return bounds;
 }
 
-std::vector<double> linear_buckets(double start, double width,
-                                   std::size_t count) {
-  BOFL_REQUIRE(width > 0.0 && count >= 1,
-               "linear buckets need width > 0, count >= 1");
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    bounds.push_back(start + width * static_cast<double>(i));
-  }
-  return bounds;
-}
-
 const std::vector<double>& default_buckets() {
   static const std::vector<double> bounds =
       exponential_buckets(1e-6, 4.0, 21);  // 1e-6 .. ~1.1e6

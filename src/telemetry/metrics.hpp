@@ -150,9 +150,6 @@ class Histogram {
 [[nodiscard]] std::vector<double> exponential_buckets(double start,
                                                       double factor,
                                                       std::size_t count);
-/// `count` bounds `start, start + width, ...`.
-[[nodiscard]] std::vector<double> linear_buckets(double start, double width,
-                                                 std::size_t count);
 /// Factor-4 bounds from 1 µs-scale to ~1e6 — wide enough for both seconds
 /// and joules; the default when a histogram is created without bounds.
 [[nodiscard]] const std::vector<double>& default_buckets();

@@ -64,12 +64,4 @@ std::uint64_t peak_rss_bytes() {
   return rusage_max_rss_bytes();
 }
 
-std::uint64_t current_rss_bytes() {
-  const std::uint64_t kb = proc_status_kb("VmRSS:");
-  if (kb > 0) {
-    return kb * 1024;
-  }
-  return rusage_max_rss_bytes();
-}
-
 }  // namespace bofl::telemetry

@@ -16,7 +16,4 @@ namespace bofl::telemetry {
 /// neither source is available.
 [[nodiscard]] std::uint64_t peak_rss_bytes();
 
-/// Current resident set size in bytes (VmRSS; same fallbacks as above).
-[[nodiscard]] std::uint64_t current_rss_bytes();
-
 }  // namespace bofl::telemetry

@@ -67,6 +67,32 @@ TEST(Flags, NegativeNumberAsValue) {
   EXPECT_EQ(flags.get_int("offset", 0), -3);
 }
 
+TEST(Flags, IntegerOutOfRangeRejected) {
+  const FlagParser flags = parse({"--rounds", "99999999999999999999",
+                                  "--offset=-99999999999999999999"});
+  EXPECT_THROW((void)flags.get_int("rounds", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int("offset", 0), std::invalid_argument);
+}
+
+// Counts (clients, shards, threads) must not wrap a negative value into a
+// huge std::size_t; these cases only parse, nothing is built from them.
+TEST(Flags, CountRejectsNegativeAndOutOfRange) {
+  const FlagParser flags =
+      parse({"--clients", "-1", "--threads=-3", "--rounds",
+             "99999999999999999999", "--shards", "many"});
+  EXPECT_THROW((void)flags.get_count("clients", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_count("threads", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_count("rounds", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_count("shards", 0), std::invalid_argument);
+}
+
+TEST(Flags, CountParsesNonNegativeValues) {
+  const FlagParser flags = parse({"--clients=2000", "--threads", "0"});
+  EXPECT_EQ(flags.get_count("clients", 7), 2000u);
+  EXPECT_EQ(flags.get_count("threads", 7), 0u);
+  EXPECT_EQ(flags.get_count("absent", 7), 7u);
+}
+
 TEST(Flags, BareDoubleDashRejected) {
   EXPECT_THROW(parse({"--"}), std::invalid_argument);
 }

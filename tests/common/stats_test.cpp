@@ -22,22 +22,6 @@ TEST(NormalCdf, KnownValues) {
   EXPECT_NEAR(normal_cdf(6.0), 1.0, 1e-9);
 }
 
-TEST(NormalQuantile, InvertsCdf) {
-  for (const double p : {0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999}) {
-    EXPECT_NEAR(normal_cdf(normal_quantile(p)), p, 1e-10) << "p=" << p;
-  }
-}
-
-TEST(NormalQuantile, KnownValues) {
-  EXPECT_NEAR(normal_quantile(0.5), 0.0, 1e-12);
-  EXPECT_NEAR(normal_quantile(0.975), 1.959963984540054, 1e-8);
-}
-
-TEST(NormalQuantile, RejectsOutOfRange) {
-  EXPECT_THROW((void)normal_quantile(0.0), std::invalid_argument);
-  EXPECT_THROW((void)normal_quantile(1.0), std::invalid_argument);
-}
-
 // psi_ei(a, b, mu, sigma) = E[(a - Y) 1{Y <= b}]: validate against a
 // Monte-Carlo estimate across parameter combinations.
 class PsiEiMonteCarlo

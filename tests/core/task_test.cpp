@@ -62,11 +62,8 @@ TEST(DeadlineGenerator, RatioOneIsDegenerate) {
 TEST(DeadlineGenerator, DeterministicBySeed) {
   DeadlineGenerator a(Seconds{10.0}, 2.0, 7);
   DeadlineGenerator b(Seconds{10.0}, 2.0, 7);
-  const auto da = a.generate(20);
-  const auto db = b.generate(20);
-  EXPECT_EQ(da.size(), 20u);
-  for (std::size_t i = 0; i < 20; ++i) {
-    EXPECT_DOUBLE_EQ(da[i].value(), db[i].value());
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_DOUBLE_EQ(a.next().value(), b.next().value());
   }
 }
 

@@ -2,19 +2,31 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <cmath>
+#include <string>
 
 #include "device/device_model.hpp"
 
 namespace bofl::device {
 namespace {
 
+/// Whether a cur_freq file holds `freq` in kernel units: whole kHz for
+/// cpufreq (per_ghz 1e6), whole Hz for devfreq (per_ghz 1e9).
+::testing::AssertionResult holds_rate(const SysfsTree& tree, const char* path,
+                                      GigaHertz freq, double per_ghz) {
+  const std::string expected =
+      std::to_string(std::llround(freq.value() * per_ghz));
+  if (tree.read(path) == expected) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << path << " holds " << tree.read(path) << ", expected " << expected;
+}
+
 TEST(SysfsTree, WriteReadRoundTrip) {
   SysfsTree tree;
   tree.write("/sys/test/value", "123");
   EXPECT_EQ(tree.read("/sys/test/value"), "123");
-  EXPECT_TRUE(tree.exists("/sys/test/value"));
-  EXPECT_FALSE(tree.exists("/sys/test/other"));
 }
 
 TEST(SysfsTree, MissingFileThrows) {
@@ -32,18 +44,28 @@ TEST(SysfsTree, OverwriteReplaces) {
 TEST(SysfsController, BootsPinnedToMax) {
   const DeviceModel agx = jetson_agx();
   const SysfsDvfsController controller(agx.space());
-  EXPECT_EQ(controller.current(), agx.space().max_config());
+  const DvfsConfig max = agx.space().max_config();
+  const SysfsTree& tree = controller.tree();
+  EXPECT_TRUE(holds_rate(tree, SysfsDvfsController::kCpuCurPath,
+                         agx.space().cpu_freq(max), 1e6));
+  EXPECT_TRUE(holds_rate(tree, SysfsDvfsController::kGpuCurPath,
+                         agx.space().gpu_freq(max), 1e9));
+  EXPECT_TRUE(holds_rate(tree, SysfsDvfsController::kMemCurPath,
+                         agx.space().mem_freq(max), 1e9));
 }
 
 TEST(SysfsController, CreatesJetsonStyleLayout) {
   const DeviceModel agx = jetson_agx();
   const SysfsDvfsController controller(agx.space());
   const SysfsTree& tree = controller.tree();
-  EXPECT_TRUE(tree.exists(SysfsDvfsController::kCpuMinPath));
-  EXPECT_TRUE(tree.exists(SysfsDvfsController::kCpuMaxPath));
-  EXPECT_TRUE(tree.exists(SysfsDvfsController::kGpuCurPath));
-  EXPECT_TRUE(tree.exists(SysfsDvfsController::kMemMaxPath));
-  EXPECT_EQ(tree.paths().size(), 9u);
+  for (const char* path :
+       {SysfsDvfsController::kCpuMinPath, SysfsDvfsController::kCpuMaxPath,
+        SysfsDvfsController::kCpuCurPath, SysfsDvfsController::kGpuMinPath,
+        SysfsDvfsController::kGpuMaxPath, SysfsDvfsController::kGpuCurPath,
+        SysfsDvfsController::kMemMinPath, SysfsDvfsController::kMemMaxPath,
+        SysfsDvfsController::kMemCurPath}) {
+    EXPECT_NO_THROW((void)tree.read(path)) << path;
+  }
 }
 
 TEST(SysfsController, KernelUnits) {
@@ -69,54 +91,25 @@ TEST(SysfsController, MinEqualsMaxAfterPin) {
             controller.tree().read(SysfsDvfsController::kGpuMaxPath));
 }
 
+// Every pinned configuration reads back from the cur_freq files (the
+// current rates) as the table frequencies it was pinned to.
 TEST(SysfsController, ApplyCurrentRoundTripWholeSpace) {
   const DeviceModel tx2 = jetson_tx2();
   SysfsDvfsController controller(tx2.space());
+  const SysfsTree& tree = controller.tree();
   for (std::size_t flat = 0; flat < tx2.space().size(); flat += 7) {
     const DvfsConfig config = tx2.space().from_flat(flat);
     controller.apply(config);
-    EXPECT_EQ(controller.current(), config) << "flat=" << flat;
+    EXPECT_TRUE(holds_rate(tree, SysfsDvfsController::kCpuCurPath,
+                           tx2.space().cpu_freq(config), 1e6))
+        << "flat=" << flat;
+    EXPECT_TRUE(holds_rate(tree, SysfsDvfsController::kGpuCurPath,
+                           tx2.space().gpu_freq(config), 1e9))
+        << "flat=" << flat;
+    EXPECT_TRUE(holds_rate(tree, SysfsDvfsController::kMemCurPath,
+                           tx2.space().mem_freq(config), 1e9))
+        << "flat=" << flat;
   }
-}
-
-TEST(SysfsController, RawRequestsSnapToNearestStep) {
-  const DeviceModel agx = jetson_agx();
-  SysfsDvfsController controller(agx.space());
-  // Request frequencies between table steps; the kernel clamps.
-  controller.request_raw(/*cpu_khz=*/500000.0, /*gpu_hz=*/2.0e9,
-                         /*mem_hz=*/1.0e3);
-  const DvfsConfig snapped = controller.current();
-  EXPECT_EQ(snapped.cpu,
-            agx.space().cpu_table().nearest_index(GigaHertz{0.5}));
-  EXPECT_EQ(snapped.gpu, agx.space().gpu_table().size() - 1);  // above max
-  EXPECT_EQ(snapped.mem, 0u);                                  // below min
-}
-
-TEST(SysfsController, RejectsNonPositiveRawRates) {
-  const DeviceModel agx = jetson_agx();
-  SysfsDvfsController controller(agx.space());
-  EXPECT_THROW(controller.request_raw(0.0, 1e9, 1e9), std::invalid_argument);
-}
-
-TEST(SysfsTree, MaterializeAndLoadRoundTrip) {
-  const DeviceModel agx = jetson_agx();
-  SysfsDvfsController controller(agx.space());
-  controller.apply({3, 7, 2});
-
-  const std::string root = ::testing::TempDir() + "/bofl_sysfs_test";
-  controller.tree().materialize(root);
-
-  const SysfsTree loaded = SysfsTree::load_from(root);
-  EXPECT_EQ(loaded.paths(), controller.tree().paths());
-  for (const std::string& path : controller.tree().paths()) {
-    EXPECT_EQ(loaded.read(path), controller.tree().read(path)) << path;
-  }
-  std::filesystem::remove_all(root);
-}
-
-TEST(SysfsTree, LoadFromMissingDirectoryThrows) {
-  EXPECT_THROW((void)SysfsTree::load_from("/no/such/dir/bofl"),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -132,14 +132,5 @@ TEST(SimulationModes, DropoutRejectsInvalidProbability) {
   EXPECT_THROW((void)sim.run(), std::invalid_argument);
 }
 
-TEST(SimulationModes, PolicyKindNames) {
-  EXPECT_STREQ(to_string(DeadlinePolicyKind::kUniformSlack),
-               "uniform-slack");
-  EXPECT_STREQ(to_string(DeadlinePolicyKind::kStaticTimeout),
-               "static-timeout");
-  EXPECT_STREQ(to_string(DeadlinePolicyKind::kAdaptiveSlack),
-               "adaptive-slack");
-}
-
 }  // namespace
 }  // namespace bofl::fl

@@ -220,7 +220,6 @@ TEST(FleetEngine, PeakRssProbeIsMonotoneAndPositive) {
   const std::uint64_t first = telemetry::peak_rss_bytes();
   EXPECT_GT(first, 0u);
   EXPECT_GE(telemetry::peak_rss_bytes(), first);
-  EXPECT_GT(telemetry::current_rss_bytes(), 0u);
 }
 
 }  // namespace

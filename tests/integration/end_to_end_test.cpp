@@ -4,6 +4,9 @@
 // path with the controller decisions.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/bofl_controller.hpp"
 #include "core/harness.hpp"
 #include "core/oracle_controller.hpp"
@@ -70,7 +73,17 @@ TEST(EndToEnd, ControllerDecisionsActuateThroughSysfs) {
     const core::RoundTrace trace = bofl.run_round(spec);
     for (const core::ConfigRun& run : trace.runs) {
       sysfs.apply(run.config);
-      EXPECT_EQ(sysfs.current(), run.config);
+      // cpufreq files hold kHz, devfreq files Hz.
+      const device::SysfsTree& files = sysfs.tree();
+      EXPECT_DOUBLE_EQ(
+          std::stod(files.read(device::SysfsDvfsController::kCpuCurPath)),
+          std::round(agx.space().cpu_freq(run.config).value() * 1e6));
+      EXPECT_DOUBLE_EQ(
+          std::stod(files.read(device::SysfsDvfsController::kGpuCurPath)),
+          std::round(agx.space().gpu_freq(run.config).value() * 1e9));
+      EXPECT_DOUBLE_EQ(
+          std::stod(files.read(device::SysfsDvfsController::kMemCurPath)),
+          std::round(agx.space().mem_freq(run.config).value() * 1e9));
     }
   }
 }

@@ -121,56 +121,6 @@ TEST(SimdDot, NanAndInfPropagate) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM.
-
-TEST(SimdGemm, Avx2MatchesScalarAcrossShapes) {
-  SKIP_WITHOUT_AVX2();
-  Rng rng(3);
-  // Every (m % 4, n % 8) remainder class, k incl. 0 and odd values.
-  const std::size_t ms[] = {1, 2, 3, 4, 5, 7, 8, 13};
-  const std::size_t ns[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 17};
-  const std::size_t ks[] = {0, 1, 3, 8, 21};
-  for (const std::size_t m : ms) {
-    for (const std::size_t n : ns) {
-      for (const std::size_t k : ks) {
-        const auto a = random_vector(rng, m * k);
-        const auto b = random_vector(rng, k * n);
-        std::vector<double> c_scalar(m * n, 0.0);
-        std::vector<double> c_avx2(m * n, 0.0);
-        gemm_scalar(a.data(), m, k, b.data(), n, c_scalar.data());
-        gemm_avx2(a.data(), m, k, b.data(), n, c_avx2.data());
-        for (std::size_t i = 0; i < m * n; ++i) {
-          SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n
-                                            << " k=" << k << " i=" << i);
-          expect_close(c_avx2[i], c_scalar[i], static_cast<double>(k));
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdGemm, NanPropagatesToTheAffectedRowAndColumn) {
-  SKIP_WITHOUT_AVX2();
-  Rng rng(4);
-  const std::size_t m = 6;
-  const std::size_t k = 5;
-  const std::size_t n = 7;
-  auto a = random_vector(rng, m * k);
-  const auto b = random_vector(rng, k * n);
-  a[2 * k + 3] = kNan;  // row 2 of a
-  std::vector<double> c_scalar(m * n, 0.0);
-  std::vector<double> c_avx2(m * n, 0.0);
-  gemm_scalar(a.data(), m, k, b.data(), n, c_scalar.data());
-  gemm_avx2(a.data(), m, k, b.data(), n, c_avx2.data());
-  for (std::size_t i = 0; i < m * n; ++i) {
-    EXPECT_EQ(std::isnan(c_avx2[i]), std::isnan(c_scalar[i])) << "i=" << i;
-    if (i / n == 2) {
-      EXPECT_TRUE(std::isnan(c_avx2[i]));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Blocked forward substitution.
 
 TEST(SimdSolveLowerMulti, Avx2MatchesScalarAcrossShapes) {
@@ -542,7 +492,6 @@ TEST(SimdDispatch, ForceLevelOverridesAndRestores) {
   const double a[] = {1.0, 2.0, 3.0, 4.0, 5.0};
   const double b[] = {2.0, 3.0, 4.0, 5.0, 6.0};
   EXPECT_TRUE(bits_equal(dot_serial(a, b, 5), dot_serial_scalar(a, b, 5)));
-  EXPECT_TRUE(bits_equal(dot_blocked(a, b, 5), dot_blocked_scalar(a, b, 5)));
   force_level(ambient);
   EXPECT_EQ(active_level(), ambient);
 }

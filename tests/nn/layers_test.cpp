@@ -112,21 +112,6 @@ TEST(ReLU, GradientMasksNegativeInputs) {
   EXPECT_FLOAT_EQ(gx[2], 0.0f);
 }
 
-TEST(Tanh, GradientCheck) {
-  Rng rng(4);
-  Tanh tanh_layer;
-  Tensor x = Tensor::randn({3, 4}, rng, 0.8f);
-  LinearLoss loss({3, 4}, rng);
-  const auto forward_loss = [&]() {
-    return loss.value(tanh_layer.forward(x));
-  };
-  (void)tanh_layer.forward(x);
-  const Tensor grad_input = tanh_layer.backward(loss.weights);
-  const double err =
-      testing::max_gradient_error(x, grad_input, forward_loss);
-  EXPECT_LT(err, 5e-2);
-}
-
 TEST(Layers, ShapeMismatchesThrow) {
   Rng rng(5);
   Dense dense(3, 2, rng);

@@ -79,8 +79,9 @@ TEST(KnowledgeStore, ContributeMergesObservationsJobWeighted) {
   store.contribute(kKey, snapshot_of({{3, 2.0, 4.0, 1.0}, {7, 2.0, 1.0, 2.0}}));
   store.contribute(kKey, snapshot_of({{3, 6.0, 8.0, 3.0}, {9, 1.0, 0.5, 4.0}}));
 
-  const ClusterKnowledge* knowledge = store.lookup(kKey);
-  ASSERT_NE(knowledge, nullptr);
+  const auto found = store.clusters().find(kKey);
+  ASSERT_NE(found, store.clusters().end());
+  const ClusterKnowledge* knowledge = &found->second;
   EXPECT_EQ(knowledge->contributions, 2u);
   ASSERT_EQ(knowledge->snapshot.observations.size(), 3u);
   // Sorted by flat id, overlapping id 3 merged with job weights 2 + 6.

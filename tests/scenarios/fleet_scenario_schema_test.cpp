@@ -108,12 +108,14 @@ TEST(FleetScenarioCatalog, EveryNamedScenarioIsDescribed) {
   EXPECT_STREQ(fleet_scenario_description("no-such"), "");
 }
 
-// The fault-scenario catalog the drivers print: public names match
-// scenario_names(), and the hidden prior-poisoned entry is listed (with
-// its hidden marker) so operators can look it up.
+// The fault-scenario catalog the drivers print: public names are the five
+// make_scenario documents, and the hidden prior-poisoned entry is listed
+// (with its hidden marker) so operators can look it up.
 TEST(FleetScenarioCatalog, FaultCatalogCoversPublicAndHidden) {
   const std::vector<ScenarioInfo> catalog = all_scenarios();
-  const std::vector<std::string>& public_names = scenario_names();
+  const std::vector<std::string> public_names = {
+      "clean", "thermal-storm", "flaky-sysfs", "straggler-heavy",
+      "mid-round-throttle"};
   std::size_t public_count = 0;
   bool saw_hidden_poisoned = false;
   for (const ScenarioInfo& info : catalog) {
@@ -122,7 +124,7 @@ TEST(FleetScenarioCatalog, FaultCatalogCoversPublicAndHidden) {
       saw_hidden_poisoned |= info.name == "prior-poisoned";
       EXPECT_EQ(std::find(public_names.begin(), public_names.end(), info.name),
                 public_names.end())
-          << "hidden scenario leaked into scenario_names()";
+          << "hidden scenario listed as public";
     } else {
       ++public_count;
       EXPECT_NE(std::find(public_names.begin(), public_names.end(), info.name),

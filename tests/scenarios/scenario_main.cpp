@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       scenarios::run_named_device_scenario("clean", opts)
           .total_energy()
           .value();
-  for (const std::string& name : faults::scenario_names()) {
+  for (const std::string& name : scenarios::sweep_scenario_names()) {
     const scenarios::DeviceScenarioResult result =
         scenarios::run_named_device_scenario(name, opts);
     for (const faults::FaultEvent& event : result.events) {

@@ -183,6 +183,16 @@ DeviceScenarioResult run_named_device_scenario(
       faults::make_scenario(name, opts.seed ^ 0xFA17ULL, horizon), opts);
 }
 
+std::vector<std::string> sweep_scenario_names() {
+  std::vector<std::string> names;
+  for (const faults::ScenarioInfo& info : faults::all_scenarios()) {
+    if (!info.hidden) {
+      names.push_back(info.name);
+    }
+  }
+  return names;
+}
+
 fl::FlSimulationResult run_fleet_scenario(const std::string& name,
                                           const FleetScenarioOptions& opts) {
   static const device::DeviceModel model = device::jetson_agx();

@@ -98,6 +98,10 @@ struct DeviceScenarioResult {
 [[nodiscard]] DeviceScenarioResult run_named_device_scenario(
     const std::string& name, const DeviceScenarioOptions& opts);
 
+/// The scenarios of the generic sweep: every entry of faults::all_scenarios()
+/// not marked hidden, in catalog order ("clean" first).
+[[nodiscard]] std::vector<std::string> sweep_scenario_names();
+
 struct FleetScenarioOptions {
   std::size_t num_clients = 8;
   std::size_t clients_per_round = 3;

@@ -48,7 +48,7 @@ TEST_P(NamedScenario, CoreInvariantsHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    All, NamedScenario, ::testing::ValuesIn(faults::scenario_names()),
+    All, NamedScenario, ::testing::ValuesIn(sweep_scenario_names()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       std::replace(name.begin(), name.end(), '-', '_');
@@ -82,7 +82,7 @@ TEST(Scenario, EnergyRegretVsCleanIsBounded) {
   const double clean =
       run_named_device_scenario("clean", opts).total_energy().value();
   ASSERT_GT(clean, 0.0);
-  for (const std::string& name : faults::scenario_names()) {
+  for (const std::string& name : sweep_scenario_names()) {
     const double faulted =
         run_named_device_scenario(name, opts).total_energy().value();
     // Storms multiply per-job energy by at most 1.6x and clamps force less

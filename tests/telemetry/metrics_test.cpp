@@ -50,7 +50,7 @@ TEST(Gauge, LastWriteWins) {
 TEST(Histogram, ConcurrentObservesMergeExactly) {
   // Integer-valued observations keep the shard sums exact, so the merged
   // snapshot must reproduce count/sum/min/max with no tolerance.
-  Histogram histogram(linear_buckets(1.0, 1.0, 8));
+  Histogram histogram({1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0});
   constexpr int kThreads = 24;  // > kStripes: stripes are shared
   constexpr int kPerThread = 5'000;
   std::vector<std::thread> threads;
@@ -116,7 +116,8 @@ TEST(Histogram, BucketBoundaryIsInclusive) {
 }
 
 TEST(Histogram, QuantileInterpolatesAndClamps) {
-  Histogram histogram(linear_buckets(10.0, 10.0, 10));  // 10, 20, ..., 100
+  Histogram histogram(
+      {10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0});
   for (int i = 1; i <= 100; ++i) {
     histogram.observe(static_cast<double>(i));
   }
@@ -153,8 +154,6 @@ TEST(Histogram, EmptySnapshotIsBenign) {
 TEST(BucketHelpers, ShapesAreCorrect) {
   const std::vector<double> exp = exponential_buckets(1.0, 2.0, 4);
   EXPECT_EQ(exp, (std::vector<double>{1.0, 2.0, 4.0, 8.0}));
-  const std::vector<double> lin = linear_buckets(0.5, 0.25, 3);
-  EXPECT_EQ(lin, (std::vector<double>{0.5, 0.75, 1.0}));
   const std::vector<double>& def = default_buckets();
   ASSERT_GE(def.size(), 2u);
   for (std::size_t i = 1; i < def.size(); ++i) {

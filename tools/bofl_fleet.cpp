@@ -122,15 +122,14 @@ int main(int argc, char** argv) {
 
   fleet::FleetConfig config;
   config.controller = *kind;
-  config.num_clients =
-      static_cast<std::size_t>(flags.get_int("clients", 100'000));
+  config.num_clients = flags.get_count("clients", 100'000);
   config.rounds = flags.get_int("rounds", 100);
   config.cohort_fraction = flags.get_double("cohort", 0.01);
   config.jobs_per_round = flags.get_int("jobs", 60);
   config.deadline_ratio = flags.get_double("ratio", 8.0);
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  config.shards = static_cast<std::size_t>(flags.get_int("shards", 0));
-  config.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  config.shards = flags.get_count("shards", 0);
+  config.threads = flags.get_count("threads", 0);
   config.heterogeneity_cv = flags.get_double("het-cv", 0.08);
   config.round_noise_cv = flags.get_double("noise-cv", 0.01);
   config.straggler_timeout = flags.get_double("straggler-timeout", 0.0);

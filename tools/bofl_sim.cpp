@@ -147,8 +147,7 @@ int main(int argc, char** argv) {
   // is rendered.
   core::TaskResult result;
   {
-    runtime::ThreadPool pool(
-        static_cast<std::size_t>(flags.get_int("threads", 0)));
+    runtime::ThreadPool pool(flags.get_count("threads", 0));
 
     // The paper's single-device protocol: τ exactly as given (no cap).
     core::BoflOptions options;
