@@ -399,9 +399,6 @@ void BoflController::finish_round_bookkeeping(const RoundSpec& spec) {
         if (telemetry::Registry* reg = telemetry::global_registry()) {
           reg->counter("bofl.priors_verified").add(1);
         }
-        if (feedback_) {
-          feedback_(prior_state_);
-        }
         if (explored_enough(engine_)) {
           phase_ = Phase::kExploitation;
         }
@@ -597,9 +594,6 @@ void BoflController::demote_prior_to_cold() {
   prior_state_ = PriorState::kDemoted;
   if (telemetry::Registry* reg = telemetry::global_registry()) {
     reg->counter("bofl.prior_demotions").add(1);
-  }
-  if (feedback_) {
-    feedback_(prior_state_);
   }
 }
 

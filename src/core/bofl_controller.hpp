@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -152,10 +151,6 @@ class BoflController final : public PaceController {
     kDemoted,    ///< prior mispredicted; controller fell back to cold start
   };
 
-  /// Fired once when the prior resolves (kVerified, kAdopted or kDemoted) —
-  /// the knowledge plane's confidence feedback hook.
-  using PriorFeedback = std::function<void(PriorState)>;
-
   /// Seed a *fresh* controller from a cluster prior under `policy`.
   /// kCold (or an empty seed) is a guaranteed no-op: the controller stays
   /// bit-identical to one never offered a prior.  kVerify overlays the
@@ -167,9 +162,6 @@ class BoflController final : public PaceController {
   /// locally measured.
   void apply_prior(const PriorSeed& seed, priors::PriorPolicy policy);
 
-  void set_prior_feedback(PriorFeedback feedback) {
-    feedback_ = std::move(feedback);
-  }
   [[nodiscard]] PriorState prior_state() const { return prior_state_; }
 
  private:
@@ -250,7 +242,6 @@ class BoflController final : public PaceController {
   /// at the next round boundary (the plan cannot be rebuilt mid-iteration).
   bool prior_demote_pending_ = false;
   PriorState prior_state_ = PriorState::kNone;
-  PriorFeedback feedback_;
 };
 
 }  // namespace bofl::core

@@ -70,6 +70,7 @@ std::vector<RoundSpec> make_rounds(const FlTaskSpec& task,
                                    const device::DeviceModel& model,
                                    double max_over_min_ratio,
                                    std::uint64_t seed) {
+  BOFL_REQUIRE(task.num_rounds >= 0, "round count must be >= 0");
   const Seconds t_min =
       model.round_t_min(task.profile, task.jobs_per_round());
   DeadlineGenerator generator(t_min, max_over_min_ratio, seed);

@@ -4,13 +4,12 @@
 
 namespace bofl::fleet {
 
-void ShardRoundStats::merge(const ShardRoundStats& other) {
+void FleetRoundStats::merge(const FleetRoundStats& other) {
   energy_uj += other.energy_uj;
   mbo_energy_uj += other.mbo_energy_uj;
   busy_us += other.busy_us;
   wall_us = std::max(wall_us, other.wall_us);
-  max_deadline_us = std::max(max_deadline_us, other.max_deadline_us);
-  queue_peak = std::max(queue_peak, other.queue_peak);
+  deadline_ref_us = std::max(deadline_ref_us, other.deadline_ref_us);
   participants += other.participants;
   dropped += other.dropped;
   missed += other.missed;
@@ -26,11 +25,9 @@ void ShardRoundStats::merge(const ShardRoundStats& other) {
   battery_blocked += other.battery_blocked;
 }
 
-void ShardTelemetry::merge(const ShardTelemetry& other) {
-  events_pushed += other.events_pushed;
-  selections += other.selections;
-  dropouts += other.dropouts;
-  deadline_misses += other.deadline_misses;
+void ShardRoundStats::merge(const ShardRoundStats& other) {
+  FleetRoundStats::merge(other);
+  queue_peak = std::max(queue_peak, other.queue_peak);
 }
 
 ClientShard::ClientShard(runtime::ShardRange range) : range_(range) {

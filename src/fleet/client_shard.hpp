@@ -32,45 +32,54 @@
 
 namespace bofl::fleet {
 
-/// One round's accounting for one shard; merged across shards in shard
-/// order.  Every field is an integer accumulator (modular add) or a max,
-/// so the merged result is independent of the shard layout.
-struct ShardRoundStats {
-  std::uint64_t energy_uj = 0;
-  std::uint64_t mbo_energy_uj = 0;
-  std::uint64_t busy_us = 0;
-  std::uint64_t wall_us = 0;          ///< last counted arrival (max)
-  std::uint64_t max_deadline_us = 0;  ///< largest effective deadline (max)
-  std::uint64_t queue_peak = 0;       ///< events at round close (max)
+/// One fleet round in the engine's exact integer units: the one record of a
+/// round, kept per shard and merged in shard order (integer adds and maxes,
+/// so independent of the shard layout).  Equality is bitwise; the field
+/// order is the trace-hash fold order (fold_trace_hash).
+struct FleetRoundStats {
+  std::int64_t round = 0;             ///< absolute index (not merged)
+  std::uint64_t energy_uj = 0;        ///< cohort training energy
+  std::uint64_t mbo_energy_uj = 0;    ///< cohort MBO update energy
+  std::uint64_t busy_us = 0;          ///< summed cohort training time
+  std::uint64_t wall_us = 0;          ///< round wall (last counted arrival)
+  std::uint64_t deadline_ref_us = 0;  ///< largest effective cohort deadline
   std::uint32_t participants = 0;
   std::uint32_t dropped = 0;
-  std::uint32_t missed = 0;
+  std::uint32_t missed = 0;     ///< training exceeded the effective deadline
   std::uint32_t stragglers = 0;
-  std::uint32_t timed_out = 0;
-  std::uint32_t phase1 = 0;
-  std::uint32_t phase2 = 0;
+  std::uint32_t timed_out = 0;  ///< reports past the straggler cutoff
+  std::uint32_t phase1 = 0;     ///< participants whose entry was explored…
+  std::uint32_t phase2 = 0;     ///< …under the canonical controller's phase
   std::uint32_t phase3 = 0;
-  // Fleet-scenario population accounting (all zero outside scenario runs).
+  // Fleet-scenario population fields.  Only folded into trace_hash when a
+  // scenario is attached, so scenario-free traces keep their historical
+  // hashes (fleet_golden_hash_test).
   std::uint32_t active_clients = 0;   ///< clients present after churn
   std::uint32_t departed = 0;         ///< left the fleet this round
   std::uint32_t rejoined = 0;         ///< returned this round
   std::uint32_t resets = 0;           ///< re-joins that lost their state
   std::uint32_t battery_blocked = 0;  ///< selected but below the watermark
 
-  void merge(const ShardRoundStats& other);
+  /// Counters add, wall_us and deadline_ref_us take the max, round stays.
+  void merge(const FleetRoundStats& other);
+
+  [[nodiscard]] double energy_j() const { return 1e-6 * double(energy_uj); }
+  [[nodiscard]] double mbo_energy_j() const {
+    return 1e-6 * double(mbo_energy_uj);
+  }
+  [[nodiscard]] double wall_s() const { return 1e-6 * double(wall_us); }
+
+  friend bool operator==(const FleetRoundStats&,
+                         const FleetRoundStats&) = default;
 };
 
-/// Run-cumulative per-shard telemetry: the striped-counter design of
-/// src/telemetry lifted from per-thread to per-shard.  Each shard's task is
-/// the single writer of its own struct; the engine merges all shards on
-/// read (end of round / end of run) before touching the global registry.
-struct ShardTelemetry {
-  std::uint64_t events_pushed = 0;
-  std::uint64_t selections = 0;
-  std::uint64_t dropouts = 0;
-  std::uint64_t deadline_misses = 0;
+/// One shard's share of a round, plus the shard-local queue depth.  Queue
+/// depth tracks the shard's cohort size, so it depends on the shard layout
+/// and never enters the fleet record.
+struct ShardRoundStats : FleetRoundStats {
+  std::uint64_t queue_peak = 0;  ///< events at round close (max)
 
-  void merge(const ShardTelemetry& other);
+  void merge(const ShardRoundStats& other);
 };
 
 class ClientShard {
@@ -108,9 +117,8 @@ class ClientShard {
   std::vector<std::uint32_t> needed_entries;
   std::vector<std::uint64_t> timed_out_clients;
 
-  /// This round's accounting and the run-cumulative telemetry.
+  /// This round's accounting.
   ShardRoundStats round_stats;
-  ShardTelemetry telemetry;
 
   /// Bytes held by the SoA columns (capacity, not size) — the numerator of
   /// the bench's bytes/client figure.  Excludes the transient round scratch.

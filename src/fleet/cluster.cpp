@@ -43,7 +43,6 @@ ClusterEngine::ClusterEngine(std::size_t index, const ClusterSpec& spec,
   BOFL_REQUIRE(jobs_per_round_ >= 1, "cluster needs at least one job/round");
   BOFL_REQUIRE(deadline_ratio_ >= 1.0, "deadline ratio must be >= 1");
   t_min_ = model_->round_t_min(profile_, jobs_per_round_);
-  table_ = device::FlatPerfTable::build(*model_, profile_);
   if (config.controller == core::ControllerKind::kBofl &&
       injector != nullptr && injector->plan().has_device_faults()) {
     // The channel's "client" is the cluster index: the canonical device IS
@@ -96,7 +95,6 @@ void ClusterEngine::set_parallel_pool(runtime::ThreadPool* pool) {
 void ClusterEngine::switch_workload(const device::WorkloadProfile& profile) {
   profile_ = profile;
   t_min_ = model_->round_t_min(profile_, jobs_per_round_);
-  table_ = device::FlatPerfTable::build(*model_, profile_);
   ++generation_;
   // The old workload's trajectory is stale the moment the population
   // retrains on the new one: drop it so the very next extend_to() replays

@@ -17,9 +17,7 @@
 // downstream accumulation is integer addition or max, so fleet traces are
 // bit-identical at any shard count (see fleet_engine.hpp).
 //
-// The cluster also owns the cluster-level device::FlatPerfTable (the SoA
-// cost surface, built once per cluster instead of once per client, for
-// reporting) and hands the fleet-wide ilp::ScheduleCache to a canonical
+// The cluster also hands the fleet-wide ilp::ScheduleCache to a canonical
 // BoFL controller, so the steady-state exploitation work of a million
 // near-duplicate clients is paid once per distinct round problem.
 #pragma once
@@ -101,9 +99,9 @@ class ClusterEngine {
   void set_parallel_pool(runtime::ThreadPool* pool);
 
   /// Non-stationary workload switch: from this round on, the cluster
-  /// trains `profile`.  Rebuilds the cost surface, REPLACES the canonical
-  /// controller (fresh exploration on a generation-derived seed) and drops
-  /// the old workload's trajectory — the next extend_to() replays the new
+  /// trains `profile`.  REPLACES the canonical controller (fresh
+  /// exploration on a generation-derived seed) and drops the old
+  /// workload's trajectory — the next extend_to() replays the new
   /// controller from entry 0, so clients mid-replay land on the new
   /// generation's costs at their current participation depth.  With a
   /// knowledge store attached, the new controller re-admits the prior of
@@ -121,10 +119,11 @@ class ClusterEngine {
   [[nodiscard]] std::size_t size() const { return trajectory_.size(); }
 
   [[nodiscard]] std::size_t index() const { return index_; }
-  /// Cluster-level SoA cost surface (for reporting; clients never build
-  /// their own).
-  [[nodiscard]] const device::FlatPerfTable& flat_table() const {
-    return table_;
+  /// The cluster's device model and the workload it trains now (the
+  /// profile changes with switch_workload).
+  [[nodiscard]] const device::DeviceModel& model() const { return *model_; }
+  [[nodiscard]] const device::WorkloadProfile& profile() const {
+    return profile_;
   }
 
   /// Trajectory entries spent outside exploitation (phases 1–2) — the
@@ -161,7 +160,6 @@ class ClusterEngine {
   device::WorkloadProfile profile_;
   std::int64_t jobs_per_round_ = 0;
   Seconds t_min_{0.0};
-  device::FlatPerfTable table_;
   Rng deadline_rng_;
   double deadline_ratio_ = 8.0;
   ilp::ScheduleCache* cache_ = nullptr;  ///< non-owning, optional

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -76,6 +77,28 @@ void fold_round(std::uint64_t& hash, const FleetRoundStats& stats,
   }
 }
 
+/// Sums one per-round quantity over `rounds`, in round order.
+template <typename Sum, typename Field>
+[[nodiscard]] Sum sum_rounds(const std::vector<FleetRoundStats>& rounds,
+                             Field field) {
+  Sum sum{};
+  for (const FleetRoundStats& stats : rounds) {
+    sum += std::invoke(field, stats);
+  }
+  return sum;
+}
+
+/// The share of `result`'s participations that `field` counts.
+template <typename Field>
+[[nodiscard]] double participation_share(const FleetResult& result,
+                                         Field field) {
+  const std::uint64_t total = result.total_participants();
+  return total == 0 ? 0.0
+                    : static_cast<double>(sum_rounds<std::uint64_t>(
+                          result.rounds, field)) /
+                          static_cast<double>(total);
+}
+
 }  // namespace
 
 std::uint64_t fold_trace_hash(const std::vector<FleetRoundStats>& rounds,
@@ -88,79 +111,39 @@ std::uint64_t fold_trace_hash(const std::vector<FleetRoundStats>& rounds,
 }
 
 double FleetResult::total_energy_j() const {
-  double sum = 0.0;
-  for (const FleetRoundStats& stats : rounds) {
-    sum += stats.energy_j();
-  }
-  return sum;
+  return sum_rounds<double>(rounds, &FleetRoundStats::energy_j);
 }
 
 double FleetResult::total_mbo_energy_j() const {
-  double sum = 0.0;
-  for (const FleetRoundStats& stats : rounds) {
-    sum += stats.mbo_energy_j();
-  }
-  return sum;
+  return sum_rounds<double>(rounds, &FleetRoundStats::mbo_energy_j);
 }
 
 std::uint64_t FleetResult::total_participants() const {
-  std::uint64_t sum = 0;
-  for (const FleetRoundStats& stats : rounds) {
-    sum += stats.participants;
-  }
-  return sum;
+  return sum_rounds<std::uint64_t>(rounds, &FleetRoundStats::participants);
 }
 
 double FleetResult::miss_rate() const {
-  std::uint64_t missed = 0;
-  for (const FleetRoundStats& stats : rounds) {
-    missed += stats.missed;
-  }
-  const std::uint64_t total = total_participants();
-  return total == 0 ? 0.0
-                    : static_cast<double>(missed) / static_cast<double>(total);
+  return participation_share(*this, &FleetRoundStats::missed);
 }
 
 double FleetResult::timeout_rate() const {
-  std::uint64_t late = 0;
-  for (const FleetRoundStats& stats : rounds) {
-    late += stats.timed_out;
-  }
-  const std::uint64_t total = total_participants();
-  return total == 0 ? 0.0
-                    : static_cast<double>(late) / static_cast<double>(total);
+  return participation_share(*this, &FleetRoundStats::timed_out);
 }
 
 std::uint64_t FleetResult::total_departed() const {
-  std::uint64_t sum = 0;
-  for (const FleetRoundStats& stats : rounds) {
-    sum += stats.departed;
-  }
-  return sum;
+  return sum_rounds<std::uint64_t>(rounds, &FleetRoundStats::departed);
 }
 
 std::uint64_t FleetResult::total_rejoined() const {
-  std::uint64_t sum = 0;
-  for (const FleetRoundStats& stats : rounds) {
-    sum += stats.rejoined;
-  }
-  return sum;
+  return sum_rounds<std::uint64_t>(rounds, &FleetRoundStats::rejoined);
 }
 
 std::uint64_t FleetResult::total_resets() const {
-  std::uint64_t sum = 0;
-  for (const FleetRoundStats& stats : rounds) {
-    sum += stats.resets;
-  }
-  return sum;
+  return sum_rounds<std::uint64_t>(rounds, &FleetRoundStats::resets);
 }
 
 std::uint64_t FleetResult::total_battery_blocked() const {
-  std::uint64_t sum = 0;
-  for (const FleetRoundStats& stats : rounds) {
-    sum += stats.battery_blocked;
-  }
-  return sum;
+  return sum_rounds<std::uint64_t>(rounds, &FleetRoundStats::battery_blocked);
 }
 
 double FleetResult::bytes_per_client() const {
@@ -170,13 +153,7 @@ double FleetResult::bytes_per_client() const {
 }
 
 double FleetResult::phase3_fraction() const {
-  std::uint64_t exploit = 0;
-  for (const FleetRoundStats& stats : rounds) {
-    exploit += stats.phase3;
-  }
-  const std::uint64_t total = total_participants();
-  return total == 0 ? 0.0
-                    : static_cast<double>(exploit) / static_cast<double>(total);
+  return participation_share(*this, &FleetRoundStats::phase3);
 }
 
 FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
@@ -185,8 +162,10 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
   BOFL_REQUIRE(
       config_.cohort_fraction > 0.0 && config_.cohort_fraction <= 1.0,
       "cohort fraction must be in (0, 1]");
-  BOFL_REQUIRE(config_.straggler_timeout >= 0.0,
-               "straggler timeout must be >= 0");
+  BOFL_REQUIRE(
+      std::isfinite(config_.straggler_timeout) &&
+          config_.straggler_timeout >= 0.0,
+      "straggler timeout must be finite and >= 0");
   BOFL_REQUIRE(config_.heterogeneity_cv >= 0.0 && config_.round_noise_cv >= 0.0,
                "noise CVs must be >= 0");
 
@@ -289,7 +268,6 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
     tel_.misses = &reg->counter("fleet.deadline_misses");
     tel_.stragglers = &reg->counter("fleet.stragglers");
     tel_.timed_out = &reg->counter("fleet.timed_out");
-    tel_.events = &reg->counter("fleet.events_pushed");
     tel_.clients = &reg->gauge("fleet.clients");
     tel_.shards = &reg->gauge("fleet.shards");
     tel_.soa_bytes = &reg->gauge("fleet.soa_bytes");
@@ -336,19 +314,14 @@ FleetResult FleetEngine::run() {
   result.num_shards = shards_.size();
   result.num_clusters = clusters_.size();
   result.rounds.reserve(static_cast<std::size_t>(config_.rounds));
-  const bool scenario_fields = config_.scenario.has_value();
-  std::uint64_t hash = kFnvOffset;
   for (std::int64_t step = 0; step < config_.rounds; ++step) {
-    const FleetRoundStats stats = run_round(next_round_++, &pool, result);
-    fold_round(hash, stats, scenario_fields);
+    const ShardRoundStats stats = run_round(next_round_++, &pool, result);
     publish_round(stats);
-    result.rounds.push_back(stats);
-    for (const ClientShard& shard : shards_) {
-      result.max_queue_depth =
-          std::max(result.max_queue_depth, shard.round_stats.queue_peak);
-    }
+    result.rounds.push_back(stats);  // the fleet record, without queue_peak
+    result.max_queue_depth = std::max(result.max_queue_depth, stats.queue_peak);
   }
-  result.trace_hash = hash;
+  result.trace_hash =
+      fold_trace_hash(result.rounds, config_.scenario.has_value());
   // Knowledge-plane bookkeeping and publish-back.  Distilling a snapshot
   // walks the canonical controller's GP posterior — expensive — so batches
   // are PREPARED in parallel across clusters; the store itself only sees
@@ -388,9 +361,6 @@ FleetResult FleetEngine::run() {
       result.select_ms + result.cost_ms + result.close_ms + result.merge_ms;
   result.soa_bytes = soa_bytes();
   result.peak_rss_bytes = telemetry::peak_rss_bytes();
-  for (const ClientShard& shard : shards_) {
-    result.telemetry.merge(shard.telemetry);
-  }
   if (tel_.peak_rss != nullptr) {
     tel_.soa_bytes->set(static_cast<double>(result.soa_bytes));
     tel_.peak_rss->set(static_cast<double>(result.peak_rss_bytes));
@@ -398,7 +368,7 @@ FleetResult FleetEngine::run() {
   return result;
 }
 
-FleetRoundStats FleetEngine::run_round(std::int64_t round,
+ShardRoundStats FleetEngine::run_round(std::int64_t round,
                                        runtime::ThreadPool* pool,
                                        FleetResult& timing) {
   // Wall-time ledger: each lap_ms() call returns the milliseconds since the
@@ -495,7 +465,6 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
       if (fl_faults &&
           injector->client_drops(round, static_cast<std::int64_t>(client))) {
         ++shard.round_stats.dropped;
-        ++shard.telemetry.dropouts;
         continue;
       }
       if (has_battery && shard.battery_uj[i] < battery_watermark_uj_) {
@@ -612,17 +581,14 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
         }
       }
       shard.queue.push({arrival_us, client});
-      ++shard.telemetry.events_pushed;
-      ++shard.telemetry.selections;
 
       const bool miss = elapsed_us > deadline_us;
       stats.energy_uj += energy_uj;
       stats.mbo_energy_uj += mbo_uj;
       stats.busy_us += elapsed_us;
-      stats.max_deadline_us = std::max(stats.max_deadline_us, deadline_us);
+      stats.deadline_ref_us = std::max(stats.deadline_ref_us, deadline_us);
       ++stats.participants;
       stats.missed += miss ? 1U : 0U;
-      shard.telemetry.deadline_misses += miss ? 1U : 0U;
       switch (entry.phase) {
         case core::Phase::kSafeRandomExploration:
           ++stats.phase1;
@@ -653,7 +619,7 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
   std::uint64_t deadline_ref_us = 0;
   for (const ClientShard& shard : shards_) {
     deadline_ref_us =
-        std::max(deadline_ref_us, shard.round_stats.max_deadline_us);
+        std::max(deadline_ref_us, shard.round_stats.deadline_ref_us);
   }
   std::optional<std::uint64_t> cutoff_us;
   if (config_.straggler_timeout > 0.0 && deadline_ref_us > 0) {
@@ -686,30 +652,11 @@ FleetRoundStats FleetEngine::run_round(std::int64_t round,
   timing.close_ms += lap_ms();
 
   // Serial: merge in shard order (integer adds + maxes — layout-invariant).
-  ShardRoundStats merged;
+  ShardRoundStats out;
   for (const ClientShard& shard : shards_) {
-    merged.merge(shard.round_stats);
+    out.merge(shard.round_stats);
   }
-  FleetRoundStats out;
   out.round = round;
-  out.energy_uj = merged.energy_uj;
-  out.mbo_energy_uj = merged.mbo_energy_uj;
-  out.busy_us = merged.busy_us;
-  out.wall_us = merged.wall_us;
-  out.deadline_ref_us = deadline_ref_us;
-  out.participants = merged.participants;
-  out.dropped = merged.dropped;
-  out.missed = merged.missed;
-  out.stragglers = merged.stragglers;
-  out.timed_out = merged.timed_out;
-  out.phase1 = merged.phase1;
-  out.phase2 = merged.phase2;
-  out.phase3 = merged.phase3;
-  out.active_clients = merged.active_clients;
-  out.departed = merged.departed;
-  out.rejoined = merged.rejoined;
-  out.resets = merged.resets;
-  out.battery_blocked = merged.battery_blocked;
   timing.merge_ms += lap_ms();
   return out;
 }
@@ -724,7 +671,6 @@ void FleetEngine::publish_round(const FleetRoundStats& stats) {
   tel_.misses->add(stats.missed);
   tel_.stragglers->add(stats.stragglers);
   tel_.timed_out->add(stats.timed_out);
-  tel_.events->add(stats.participants);
   for (const ClientShard& shard : shards_) {
     tel_.queue_depth->observe(
         static_cast<double>(shard.round_stats.queue_peak));

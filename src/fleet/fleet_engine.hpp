@@ -2,7 +2,9 @@
 //
 // Architecture (DESIGN.md §6f):
 //   * Client state lives in struct-of-arrays shards (client_shard.hpp),
-//     ~30 bytes per client, one contiguous id range per shard.
+//     ~30 bytes per client, one contiguous id range per shard.  Each shard
+//     tallies its part of the round in a FleetRoundStats, the one record
+//     of a round, which the engine merges in shard order.
 //   * Each cluster (device model × workload) runs ONE canonical pace
 //     controller whose per-participation trajectory all cluster members
 //     replay, scaled by pure-hash per-client heterogeneity and jitter
@@ -17,7 +19,7 @@
 //       pass 2  per-client costs, event pushes, SoA updates     (parallel)
 //       —— straggler cutoff from the fleet-wide max deadline    (serial)
 //       pass 3  round close → round wall / timed-out counts     (parallel)
-//       —— stats merge, trace hash, telemetry                   (serial)
+//       —— stats merge, telemetry                               (serial)
 //
 // Determinism: every per-client draw is a pure hash of (seed, domain tag,
 // ids) — never of shard or thread identity — and every cross-shard
@@ -42,42 +44,6 @@
 #include "telemetry/metrics.hpp"
 
 namespace bofl::fleet {
-
-/// One fleet round, in the engine's exact integer units.  Equality is
-/// bitwise, so tests compare whole traces across shard/thread counts.
-struct FleetRoundStats {
-  std::int64_t round = 0;
-  std::uint64_t energy_uj = 0;        ///< cohort training energy
-  std::uint64_t mbo_energy_uj = 0;    ///< cohort MBO update energy
-  std::uint64_t busy_us = 0;          ///< summed cohort training time
-  std::uint64_t wall_us = 0;          ///< round wall (last counted arrival)
-  std::uint64_t deadline_ref_us = 0;  ///< largest effective cohort deadline
-  std::uint32_t participants = 0;
-  std::uint32_t dropped = 0;
-  std::uint32_t missed = 0;     ///< training exceeded the effective deadline
-  std::uint32_t stragglers = 0;
-  std::uint32_t timed_out = 0;  ///< reports past the straggler cutoff
-  std::uint32_t phase1 = 0;     ///< participants whose entry was explored…
-  std::uint32_t phase2 = 0;     ///< …under the canonical controller's phase
-  std::uint32_t phase3 = 0;
-  // Fleet-scenario population fields.  Only folded into trace_hash when a
-  // scenario is attached, so scenario-free traces keep their historical
-  // hashes (fleet_golden_hash_test).
-  std::uint32_t active_clients = 0;   ///< clients present after churn
-  std::uint32_t departed = 0;         ///< left the fleet this round
-  std::uint32_t rejoined = 0;         ///< returned this round
-  std::uint32_t resets = 0;           ///< re-joins that lost their state
-  std::uint32_t battery_blocked = 0;  ///< selected but below the watermark
-
-  [[nodiscard]] double energy_j() const { return 1e-6 * double(energy_uj); }
-  [[nodiscard]] double mbo_energy_j() const {
-    return 1e-6 * double(mbo_energy_uj);
-  }
-  [[nodiscard]] double wall_s() const { return 1e-6 * double(wall_us); }
-
-  friend bool operator==(const FleetRoundStats&,
-                         const FleetRoundStats&) = default;
-};
 
 struct FleetResult {
   std::vector<FleetRoundStats> rounds;
@@ -115,7 +81,6 @@ struct FleetResult {
   std::size_t num_clients = 0;
   std::size_t num_shards = 0;
   std::size_t num_clusters = 0;
-  ShardTelemetry telemetry;  ///< merged per-shard registries
 
   [[nodiscard]] double total_energy_j() const;
   [[nodiscard]] double total_mbo_energy_j() const;
@@ -178,7 +143,6 @@ class FleetEngine {
     telemetry::Counter* misses = nullptr;
     telemetry::Counter* stragglers = nullptr;
     telemetry::Counter* timed_out = nullptr;
-    telemetry::Counter* events = nullptr;
     telemetry::Gauge* clients = nullptr;
     telemetry::Gauge* shards = nullptr;
     telemetry::Gauge* soa_bytes = nullptr;
@@ -197,8 +161,9 @@ class FleetEngine {
   };
 
   /// Runs one round and adds its wall time to `timing`'s control-plane
-  /// and data-plane ledger fields.
-  [[nodiscard]] FleetRoundStats run_round(std::int64_t round,
+  /// and data-plane ledger fields.  Returns the shards' merged stats: the
+  /// fleet's record of the round and its deepest shard queue.
+  [[nodiscard]] ShardRoundStats run_round(std::int64_t round,
                                           runtime::ThreadPool* pool,
                                           FleetResult& timing);
   void publish_round(const FleetRoundStats& stats);

@@ -3,26 +3,10 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/error.hpp"
-
 namespace bofl::pareto {
 
 bool dominates(const Point2& a, const Point2& b) {
   return a.f1 <= b.f1 && a.f2 <= b.f2 && (a.f1 < b.f1 || a.f2 < b.f2);
-}
-
-bool dominates(const std::vector<double>& a, const std::vector<double>& b) {
-  BOFL_REQUIRE(a.size() == b.size(), "dominance requires equal dimensions");
-  bool strictly_better_somewhere = false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] > b[i]) {
-      return false;
-    }
-    if (a[i] < b[i]) {
-      strictly_better_somewhere = true;
-    }
-  }
-  return strictly_better_somewhere;
 }
 
 std::vector<std::size_t> non_dominated_indices(

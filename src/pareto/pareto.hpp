@@ -1,8 +1,7 @@
 // Pareto dominance and Pareto-set extraction for minimization problems.
 //
 // BoFL's performance space is 2-D — per-job energy E(x) and latency T(x),
-// both minimized (§3.2).  Point2 carries that pair; the general N-d
-// dominance helper backs the property tests.
+// both minimized (§3.2).  Point2 carries that pair.
 #pragma once
 
 #include <cstddef>
@@ -22,10 +21,6 @@ struct Point2 {
 /// Weak Pareto dominance for minimization: a dominates b iff a is no worse
 /// in both coordinates and strictly better in at least one.
 [[nodiscard]] bool dominates(const Point2& a, const Point2& b);
-
-/// General N-dimensional dominance (minimization); sizes must match.
-[[nodiscard]] bool dominates(const std::vector<double>& a,
-                             const std::vector<double>& b);
 
 /// Indices of the non-dominated points in `points`.  Duplicates of a
 /// non-dominated point are all retained (none strictly dominates another).

@@ -1,6 +1,7 @@
 #include "telemetry/json_reader.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -114,6 +115,9 @@ class JsonParser {
         char* end = nullptr;
         node.number = std::strtod(begin, &end);
         BOFL_REQUIRE(end != begin, "malformed JSON number");
+        // strtod also reads inf, nan and out-of-range literals such as
+        // 1e999 (as inf); JSON has no non-finite numbers.
+        BOFL_REQUIRE(std::isfinite(node.number), "non-finite JSON number");
         pos_ += static_cast<std::size_t>(end - begin);
         return node;
       }

@@ -51,10 +51,6 @@ void expect_identical(const FleetResult& a, const FleetResult& b) {
   for (std::size_t r = 0; r < a.rounds.size(); ++r) {
     EXPECT_EQ(a.rounds[r], b.rounds[r]) << "round " << r;
   }
-  EXPECT_EQ(a.telemetry.events_pushed, b.telemetry.events_pushed);
-  EXPECT_EQ(a.telemetry.selections, b.telemetry.selections);
-  EXPECT_EQ(a.telemetry.dropouts, b.telemetry.dropouts);
-  EXPECT_EQ(a.telemetry.deadline_misses, b.telemetry.deadline_misses);
 }
 
 /// Every tested layout vs the 1x1 serial reference.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "device/device_model.hpp"
@@ -135,6 +136,16 @@ TEST(FleetEngine, StragglerCutoffBoundsTheRoundWall) {
   }
   EXPECT_GT(timed_out, 0u);
   EXPECT_GT(result.timeout_rate(), 0.0);
+}
+
+// The cutoff is llround(timeout * deadline): an infinite or NaN timeout
+// would hand llround a non-finite value, so the engine refuses it.
+TEST(FleetEngine, RejectsNonFiniteStragglerTimeout) {
+  FleetConfig config = tiny_config();
+  config.straggler_timeout = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(FleetEngine{config}, std::invalid_argument);
+  config.straggler_timeout = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(FleetEngine{config}, std::invalid_argument);
 }
 
 TEST(FleetEngine, PublishesFleetTelemetry) {

@@ -21,18 +21,6 @@ TEST(Dominance, IsAntisymmetric) {
   EXPECT_FALSE(dominates(a, b) && dominates(b, a));
 }
 
-TEST(DominanceNd, GeneralVectors) {
-  EXPECT_TRUE(dominates(std::vector<double>{1, 2, 3},
-                        std::vector<double>{1, 2, 4}));
-  EXPECT_FALSE(dominates(std::vector<double>{1, 2, 3},
-                         std::vector<double>{1, 2, 3}));
-  EXPECT_FALSE(dominates(std::vector<double>{0, 5},
-                         std::vector<double>{1, 1}));
-  EXPECT_THROW((void)dominates(std::vector<double>{1.0},
-                               std::vector<double>{1.0, 2.0}),
-               std::invalid_argument);
-}
-
 TEST(NonDominatedIndices, SimpleFront) {
   const std::vector<Point2> points{
       {1.0, 5.0}, {2.0, 3.0}, {3.0, 4.0}, {4.0, 1.0}, {5.0, 5.0}};

@@ -22,7 +22,8 @@ namespace {
 /// compared anyway.
 pareto::Point2 fixed_reference(const fleet::ClusterEngine& cluster) {
   pareto::Point2 worst;
-  const device::FlatPerfTable& table = cluster.flat_table();
+  const device::FlatPerfTable table =
+      device::FlatPerfTable::build(cluster.model(), cluster.profile());
   for (std::size_t flat = 0; flat < table.size(); ++flat) {
     worst.f1 = std::max(worst.f1, table.energy_j[flat]);
     worst.f2 = std::max(worst.f2, table.latency_s[flat]);

@@ -81,6 +81,19 @@ TEST(FleetScenarioSchema, RejectsInvalidSpecs) {
   EXPECT_THROW(make_fleet_scenario("no-such-scenario", 1), std::exception);
 }
 
+// JSON has no inf or NaN, and strtod reads 1e999 as inf: a spec with an
+// out-of-range number is rejected at parse time instead of reaching the
+// engine's llround as a battery capacity.
+TEST(FleetScenarioSchema, RejectsNonFiniteNumbers) {
+  EXPECT_THROW(FleetScenario::from_json(
+                   R"({"battery": {"capacity_j": 1e999}})"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      FleetScenario::from_json(
+          R"({"battery": {"capacity_j": 5, "recharge_j_per_round": 1e999}})"),
+      std::invalid_argument);
+}
+
 // The embedded fault list rides the scenario's identity: one seed, one
 // label, shared with the plan the engine adopts.
 TEST(FleetScenarioSchema, EmbeddedFaultsInheritScenarioIdentity) {

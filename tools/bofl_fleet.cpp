@@ -44,6 +44,7 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "cli.hpp"
@@ -91,9 +92,7 @@ int list_scenarios() {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_fleet(int argc, char** argv) {
   const FlagParser flags(argc, argv);
   if (!cli::check_known_flags(
           flags,
@@ -396,4 +395,17 @@ int main(int argc, char** argv) {
     status = 1;
   }
   return status;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag value or spec fails a precondition (BOFL_REQUIRE): name it,
+  // print the usage text and exit 2, as for an unknown flag.
+  try {
+    return run_fleet(argc, argv);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return usage(argv[0]);
+  }
 }

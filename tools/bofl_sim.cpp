@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "cli.hpp"
 #include "common/csv.hpp"
@@ -48,9 +49,7 @@ int usage(const char* argv0) {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_sim(int argc, char** argv) {
   const FlagParser flags(argc, argv);
   if (!cli::check_known_flags(
           flags, {"help", "device", "task", "controller", "ratio", "rounds",
@@ -264,4 +263,17 @@ int main(int argc, char** argv) {
   }
   session.finish();
   return result.all_deadlines_met() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag value or spec fails a precondition (BOFL_REQUIRE): name it,
+  // print the usage text and exit 2, as for an unknown flag.
+  try {
+    return run_sim(argc, argv);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return usage(argv[0]);
+  }
 }
