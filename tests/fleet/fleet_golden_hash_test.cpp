@@ -15,6 +15,7 @@
 
 #include "device/device_model.hpp"
 #include "device/workload.hpp"
+#include "faults/fleet_scenario.hpp"
 #include "faults/scenarios.hpp"
 #include "fleet/fleet_engine.hpp"
 #include "linalg/simd/dispatch.hpp"
@@ -35,6 +36,14 @@ constexpr std::uint64_t kGoldenPerformantTraceHash = 0x2d1037051236c42dULL;
 /// cursors roll back: the only round-close path whose output depends on
 /// the order of the timed-out events.
 constexpr std::uint64_t kGoldenStragglerTimeoutTraceHash = 0xd545d5fe85439112ULL;
+/// The same fleet under the churn population scenario: re-joins that lose
+/// their state restart their replay cursor while each client's speed factor
+/// (its silicon) survives the reset.
+constexpr std::uint64_t kGoldenChurnTraceHash = 0x1342350b1c9a809aULL;
+/// The same fleet under the battery-budget population scenario: every
+/// participation drains training plus MBO energy from the client's budget,
+/// so clients re-selected too soon sit the round out.
+constexpr std::uint64_t kGoldenBatteryTraceHash = 0xe441951ac7b3688dULL;
 
 /// Pins the dispatch level for the test body and restores the ambient level
 /// on exit, so ordering against other tests in this binary doesn't matter.
@@ -53,7 +62,8 @@ class ScopedSimdLevel {
 FleetResult run_small_fleet(
     core::ControllerKind controller = core::ControllerKind::kBofl,
     std::optional<faults::FaultPlan> fault_plan = std::nullopt,
-    double straggler_timeout = 0.0) {
+    double straggler_timeout = 0.0,
+    std::optional<faults::FleetScenario> scenario = std::nullopt) {
   const device::DeviceModel agx = device::jetson_agx();
   const device::DeviceModel tx2 = device::jetson_tx2();
   FleetConfig config;
@@ -68,6 +78,7 @@ FleetResult run_small_fleet(
   config.controller = controller;
   config.fault_plan = std::move(fault_plan);
   config.straggler_timeout = straggler_timeout;
+  config.scenario = std::move(scenario);
   FleetEngine engine(std::move(config));
   return engine.run();
 }
@@ -131,6 +142,26 @@ TEST(FleetGoldenHash, StragglerTimeoutReproducesCommittedTraceHash) {
   EXPECT_TRUE(any_timed_out) << "no report timed out: the cursor rollback "
                                 "path did not run";
   EXPECT_EQ(result.trace_hash, kGoldenStragglerTimeoutTraceHash)
+      << "actual hash 0x" << std::hex << result.trace_hash;
+}
+
+TEST(FleetGoldenHash, ChurnScenarioReproducesCommittedTraceHash) {
+  const FleetResult result =
+      run_small_fleet(core::ControllerKind::kBofl, std::nullopt, 0.0,
+                      faults::make_fleet_scenario("churn", 11));
+  EXPECT_GT(result.total_resets(), 0u)
+      << "no re-join lost its state: the reset path did not run";
+  EXPECT_EQ(result.trace_hash, kGoldenChurnTraceHash)
+      << "actual hash 0x" << std::hex << result.trace_hash;
+}
+
+TEST(FleetGoldenHash, BatteryBudgetReproducesCommittedTraceHash) {
+  const FleetResult result =
+      run_small_fleet(core::ControllerKind::kBofl, std::nullopt, 0.0,
+                      faults::make_fleet_scenario("battery-budget", 11));
+  EXPECT_GT(result.total_battery_blocked(), 0u)
+      << "no client was held back: the battery drain did not bind";
+  EXPECT_EQ(result.trace_hash, kGoldenBatteryTraceHash)
       << "actual hash 0x" << std::hex << result.trace_hash;
 }
 
