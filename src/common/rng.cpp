@@ -6,19 +6,6 @@
 
 namespace bofl {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t stream_seed(std::uint64_t base, std::uint64_t stream) {
-  std::uint64_t state = base;
-  std::uint64_t mixed = splitmix64(state) ^ stream;
-  return splitmix64(mixed);
-}
-
 namespace {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));

@@ -15,15 +15,39 @@
 namespace bofl {
 
 /// SplitMix64: used for seeding and for cheap one-shot hashes.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state);
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// The two halves of stream_seed: StreamHash(base)(stream) ==
+/// stream_seed(base, stream).  Construction mixes the base; a loop over many
+/// streams of one base (a round's clients) pays that mix once, not per
+/// stream.
+class StreamHash {
+ public:
+  explicit StreamHash(std::uint64_t base) : mixed_(splitmix64(base)) {}
+
+  [[nodiscard]] std::uint64_t operator()(std::uint64_t stream) const {
+    std::uint64_t mixed = mixed_ ^ stream;
+    return splitmix64(mixed);
+  }
+
+ private:
+  std::uint64_t mixed_;
+};
 
 /// Deterministic seed for substream `stream` of a base seed.  Parallel code
 /// derives one independent Rng per *task* (client, candidate, round — never
 /// per thread), so results are bit-identical whatever the worker count and
 /// scheduling order (runtime/thread_pool.hpp relies on this contract).
 /// Two SplitMix64 passes decorrelate even adjacent (base, stream) pairs.
-[[nodiscard]] std::uint64_t stream_seed(std::uint64_t base,
-                                        std::uint64_t stream);
+[[nodiscard]] inline std::uint64_t stream_seed(std::uint64_t base,
+                                               std::uint64_t stream) {
+  return StreamHash(base)(stream);
+}
 
 /// xoshiro256** PRNG.  Satisfies UniformRandomBitGenerator so it can be
 /// plugged into <random> distributions, but the convenience members below

@@ -471,6 +471,9 @@ void BoflController::import_state(
     BOFL_REQUIRE(obs.jobs > 0.0 && obs.mean_energy > 0.0 &&
                      obs.mean_latency > 0.0,
                  "saved observation must be positive");
+    BOFL_REQUIRE(std::isfinite(obs.jobs) && std::isfinite(obs.mean_energy) &&
+                     std::isfinite(obs.mean_latency),
+                 "saved observation must be finite");
     Aggregate& agg = aggregates_[obs.config_flat];
     agg.jobs = obs.jobs;
     agg.latency_weighted = quotient_exact_weighted(obs.mean_latency, obs.jobs);

@@ -50,12 +50,20 @@ std::vector<BoflController::SavedObservation> load_state(
   saved.reserve(reader.rows().size());
   for (const auto& row : reader.rows()) {
     BoflController::SavedObservation obs;
+    // The id must be an exact integer below 2^53 before the cast: a
+    // fraction would be truncated, and casting a value past size_t (or a
+    // non-finite one) is undefined.
     const double flat = parse(row[flat_col]);
-    BOFL_REQUIRE(flat >= 0.0, "negative config id in saved state");
+    BOFL_REQUIRE(flat >= 0.0 && flat < 0x1.0p53 && flat == std::floor(flat),
+                 "config id in saved state is not an integer in [0, 2^53): " +
+                     row[flat_col]);
     obs.config_flat = static_cast<std::size_t>(flat);
     obs.jobs = parse(row[jobs_col]);
     obs.mean_energy = parse(row[energy_col]);
     obs.mean_latency = parse(row[latency_col]);
+    BOFL_REQUIRE(std::isfinite(obs.jobs) && std::isfinite(obs.mean_energy) &&
+                     std::isfinite(obs.mean_latency),
+                 "non-finite jobs or mean in saved state");
     saved.push_back(obs);
   }
   return saved;

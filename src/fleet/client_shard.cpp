@@ -35,9 +35,6 @@ ClientShard::ClientShard(runtime::ShardRange range) : range_(range) {
   cluster.resize(n, 0);
   participations.resize(n, 0);
   rng_cursor.resize(n, 0);
-  energy_uj.resize(n, 0);
-  busy_us.resize(n, 0);
-  misses.resize(n, 0);
 }
 
 std::uint64_t ClientShard::soa_bytes() const {
@@ -45,9 +42,7 @@ std::uint64_t ClientShard::soa_bytes() const {
       cluster.capacity() * sizeof(std::uint16_t) +
       participations.capacity() * sizeof(std::uint32_t) +
       rng_cursor.capacity() * sizeof(std::uint32_t) +
-      energy_uj.capacity() * sizeof(std::uint64_t) +
-      busy_us.capacity() * sizeof(std::uint64_t) +
-      misses.capacity() * sizeof(std::uint32_t) +
+      speed.capacity() * sizeof(double) +
       active.capacity() * sizeof(std::uint8_t) +
       battery_uj.capacity() * sizeof(std::uint64_t));
 }

@@ -10,11 +10,12 @@
 //   participations[i]  trajectory cursor: how often it has been selected
 //   rng_cursor[i]      per-client draw counter keying the jitter stream
 //                      (stream_seed(client_seed, cursor)); kept separate
-//                      from participations so future churn/state-reset can
-//                      advance one without the other
-//   energy_uj[i]       lifetime training energy, integer microjoules
-//   busy_us[i]         lifetime training wall time, integer microseconds
-//   misses[i]          rounds whose effective deadline the client missed
+//                      from participations so a churn reset can rewind one
+//                      without the other
+//   speed[i]           lifetime speed factor (the client's silicon), drawn
+//                      on first participation; 0.0 = not drawn yet
+//
+// 18 B/client; 10 B when heterogeneity is off and `speed` is not allocated.
 //
 // A shard owns a contiguous client-id range (runtime/sharding.hpp), its own
 // completion-event buffer (appended in pass 2, folded by close_round in
@@ -95,14 +96,12 @@ class ClientShard {
   std::vector<std::uint16_t> cluster;
   std::vector<std::uint32_t> participations;
   std::vector<std::uint32_t> rng_cursor;
-  std::vector<std::uint64_t> energy_uj;
-  std::vector<std::uint64_t> busy_us;
-  std::vector<std::uint32_t> misses;
 
-  // Fleet-scenario columns, allocated by the engine ONLY when the scenario
-  // enables the matching process (so the steady-state bytes/client figure
-  // is untouched).  `active` is the churn membership bit; `battery_uj` the
-  // remaining per-client energy budget in integer microjoules.
+  // Columns the engine allocates ONLY when the matching process is enabled
+  // (so a run pays for what it models).  `speed` caches the heterogeneity
+  // draw; `active` is the churn membership bit; `battery_uj` the remaining
+  // per-client energy budget in integer microjoules.
+  std::vector<double> speed;
   std::vector<std::uint8_t> active;
   std::vector<std::uint64_t> battery_uj;
 

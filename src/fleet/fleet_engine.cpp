@@ -30,8 +30,8 @@ constexpr std::uint64_t kRejoinDomain = 0xF1EE7'4E01'0123ULL;  // churn: re-join
 constexpr std::uint64_t kResetDomain = 0xF1EE7'4E5E'7777ULL;   // churn: reset
 
 /// Uniform double in [0, 1) from a pure hash — no generator state.
-[[nodiscard]] double hash_unit(std::uint64_t base, std::uint64_t stream) {
-  return static_cast<double>(stream_seed(base, stream) >> 11) * 0x1.0p-53;
+[[nodiscard]] double hash_unit(const StreamHash& base, std::uint64_t stream) {
+  return static_cast<double>(base(stream) >> 11) * 0x1.0p-53;
 }
 
 [[nodiscard]] std::uint64_t scale_us(std::uint64_t quantized, double factor) {
@@ -232,9 +232,12 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
   for (std::size_t s = 0; s < num_shards; ++s) {
     shards_.emplace_back(
         runtime::shard_range(config_.num_clients, num_shards, s));
-    // Scenario columns only exist when the matching process is enabled, so
-    // steady-state runs keep their bytes/client figure.
+    // Optional columns exist only when their process is enabled; speeds
+    // are drawn lazily in pass 2, never serially here.
     ClientShard& shard = shards_.back();
+    if (config_.heterogeneity_cv > 0.0) {
+      shard.speed.assign(shard.size(), 0.0);
+    }
     if (scenario != nullptr && scenario->churn.enabled()) {
       shard.active.assign(shard.size(), 1);
     }
@@ -244,7 +247,7 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
   }
   // Cluster assignment is a weighted pure-hash draw on the client id, so it
   // is the same function of the id under every shard layout.
-  const std::uint64_t cluster_base = config_.seed ^ kClusterDomain;
+  const StreamHash cluster_base(config_.seed ^ kClusterDomain);
   for (ClientShard& shard : shards_) {
     shard.needed_entries.assign(clusters_.size(), 0);
     const std::size_t begin = shard.range().begin;
@@ -385,8 +388,8 @@ ShardRoundStats FleetEngine::run_round(std::int64_t round,
       injector_.has_value() ? &*injector_ : nullptr;
   const bool fl_faults =
       injector != nullptr && injector->plan().has_fl_faults();
-  const std::uint64_t select_base = stream_seed(
-      config_.seed ^ kSelectDomain, static_cast<std::uint64_t>(round));
+  const StreamHash select_base(stream_seed(
+      config_.seed ^ kSelectDomain, static_cast<std::uint64_t>(round)));
 
   // Fleet-scenario round state: the diurnal factors are exact functions of
   // the round index; churn draw bases mix fleet seed, scenario seed,
@@ -403,19 +406,15 @@ ShardRoundStats FleetEngine::run_round(std::int64_t round,
   const bool has_churn = scenario != nullptr && scenario->churn.enabled();
   const bool churn_live = has_churn && round >= scenario->churn.start_round;
   const bool has_battery = scenario != nullptr && scenario->battery.enabled();
-  std::uint64_t leave_base = 0;
-  std::uint64_t rejoin_base = 0;
-  std::uint64_t reset_base = 0;
-  if (churn_live) {
-    const std::uint64_t churn_seed =
-        stream_seed(config_.seed, scenario->seed);
-    leave_base = stream_seed(churn_seed ^ kLeaveDomain,
-                             static_cast<std::uint64_t>(round));
-    rejoin_base = stream_seed(churn_seed ^ kRejoinDomain,
-                              static_cast<std::uint64_t>(round));
-    reset_base = stream_seed(churn_seed ^ kResetDomain,
-                             static_cast<std::uint64_t>(round));
-  }
+  const std::uint64_t churn_seed =
+      has_churn ? stream_seed(config_.seed, scenario->seed) : 0;
+  const auto churn_base = [&](std::uint64_t domain) {
+    return StreamHash(
+        stream_seed(churn_seed ^ domain, static_cast<std::uint64_t>(round)));
+  };
+  const StreamHash leave_base = churn_base(kLeaveDomain);
+  const StreamHash rejoin_base = churn_base(kRejoinDomain);
+  const StreamHash reset_base = churn_base(kResetDomain);
 
   // Pass 1 (parallel): battery recharge, churn transitions, selection,
   // dropout, battery gate, needed trajectory depth.
@@ -531,13 +530,13 @@ ShardRoundStats FleetEngine::run_round(std::int64_t round,
     }
   }
 
-  // Pass 2 (parallel): per-client costs, event pushes, SoA accumulation.
+  // Pass 2 (parallel): per-client costs, event pushes, cursor advances.
   const double het_cv = config_.heterogeneity_cv;
   const double noise_cv = config_.round_noise_cv;
   const LognormalMean1 speed_dist(het_cv);
   const LognormalMean1 jitter_dist(noise_cv);
-  const std::uint64_t speed_base = config_.seed ^ kSpeedDomain;
-  const std::uint64_t jitter_base = config_.seed ^ kJitterDomain;
+  const StreamHash speed_base(config_.seed ^ kSpeedDomain);
+  const StreamHash jitter_base(config_.seed ^ kJitterDomain);
   runtime::parallel_for_each(pool, shards_.size(), [&](std::size_t s) {
     ClientShard& shard = shards_[s];
     ShardRoundStats& stats = shard.round_stats;
@@ -547,18 +546,18 @@ ShardRoundStats FleetEngine::run_round(std::int64_t round,
       const ClusterEngine& cluster = *clusters_[shard.cluster[i]];
       const ClusterEngine::RoundEntry& entry =
           cluster.entry(shard.participations[i]);
-      // The client's silicon/binning factor (lifetime constant) and this
+      // The client's silicon/binning factor (lifetime constant, drawn on its
+      // first participation and cached; a lognormal draw is > 0) and this
       // participation's execution jitter — both pure functions of ids.
-      double speed = 1.0;
-      if (het_cv > 0.0) {
-        Rng rng(stream_seed(speed_base, client));
-        speed = speed_dist(rng);
+      if (het_cv > 0.0 && shard.speed[i] == 0.0) {
+        Rng rng(speed_base(client));
+        shard.speed[i] = speed_dist(rng);
       }
+      const double speed = het_cv > 0.0 ? shard.speed[i] : 1.0;
       double lat_jitter = 1.0;
       double energy_jitter = 1.0;
       if (noise_cv > 0.0) {
-        Rng rng(stream_seed(stream_seed(jitter_base, client),
-                            shard.rng_cursor[i]));
+        Rng rng(stream_seed(jitter_base(client), shard.rng_cursor[i]));
         lat_jitter = jitter_dist(rng);
         energy_jitter = jitter_dist(rng);
       }
@@ -582,13 +581,12 @@ ShardRoundStats FleetEngine::run_round(std::int64_t round,
       }
       shard.queue.push({arrival_us, client});
 
-      const bool miss = elapsed_us > deadline_us;
       stats.energy_uj += energy_uj;
       stats.mbo_energy_uj += mbo_uj;
       stats.busy_us += elapsed_us;
       stats.deadline_ref_us = std::max(stats.deadline_ref_us, deadline_us);
       ++stats.participants;
-      stats.missed += miss ? 1U : 0U;
+      stats.missed += elapsed_us > deadline_us ? 1U : 0U;
       switch (entry.phase) {
         case core::Phase::kSafeRandomExploration:
           ++stats.phase1;
@@ -603,9 +601,6 @@ ShardRoundStats FleetEngine::run_round(std::int64_t round,
 
       shard.participations[i] += 1;
       shard.rng_cursor[i] += 1;
-      shard.energy_uj[i] += energy_uj;
-      shard.busy_us[i] += elapsed_us;
-      shard.misses[i] += miss ? 1U : 0U;
       if (has_battery) {
         // Training and MBO updates both come out of the client's budget.
         const std::uint64_t drain = energy_uj + mbo_uj;

@@ -2,7 +2,7 @@
 //
 // Architecture (DESIGN.md §6f):
 //   * Client state lives in struct-of-arrays shards (client_shard.hpp),
-//     ~30 bytes per client, one contiguous id range per shard.  Each shard
+//     18 bytes per client, one contiguous id range per shard.  Each shard
 //     tallies its part of the round in a FleetRoundStats, the one record
 //     of a round, which the engine merges in shard order.
 //   * Each cluster (device model × workload) runs ONE canonical pace

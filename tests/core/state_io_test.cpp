@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/harness.hpp"
@@ -158,6 +159,29 @@ TEST(StateIo, LoadRejectsMissingFile) {
                std::invalid_argument);
 }
 
+// Hostile state files: each must be a typed error at the file boundary.
+void expect_load_rejects(const std::string& name, const std::string& row) {
+  const std::string path = ::testing::TempDir() + "/bofl_state_" + name;
+  {
+    std::ofstream out(path);
+    out << "config_flat,jobs,mean_energy_J,mean_latency_s\n" << row << "\n";
+  }
+  EXPECT_THROW((void)load_state(path), std::invalid_argument) << row;
+  std::remove(path.c_str());
+}
+
+TEST(StateIo, LoadRejectsConfigIdPastSizeT) {
+  expect_load_rejects("huge_id.csv", "1e300,10,5,0.5");
+}
+
+TEST(StateIo, LoadRejectsFractionalConfigId) {
+  expect_load_rejects("fractional_id.csv", "5.7,10,5,0.5");
+}
+
+TEST(StateIo, LoadRejectsInfiniteLatency) {
+  expect_load_rejects("inf_latency.csv", "100,10,5,inf");
+}
+
 TEST(StateIo, ResumedControllerSkipsExploration) {
   const device::DeviceModel agx = device::jetson_agx();
   FlTaskSpec task = cifar10_vit_task(agx.name());
@@ -247,6 +271,10 @@ TEST(StateIo, ImportRejectsUsedControllerAndBadData) {
       std::invalid_argument);
   EXPECT_THROW(fresh.import_state({{0, 0.0, 1.0, 1.0}}),
                std::invalid_argument);
+  EXPECT_THROW(
+      fresh.import_state(
+          {{0, 1.0, 1.0, std::numeric_limits<double>::infinity()}}),
+      std::invalid_argument);
 }
 
 }  // namespace

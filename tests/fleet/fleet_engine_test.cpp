@@ -104,15 +104,20 @@ TEST(FleetEngine, PerClientMemoryStaysFlatAcrossFleetSizes) {
   FleetConfig large = tiny_config();
   large.num_clients = 16'000;
   large.rounds = 2;
+  FleetConfig homogeneous = large;
+  homogeneous.heterogeneity_cv = 0.0;
   FleetEngine small_engine(small);
   FleetEngine large_engine(large);
+  FleetEngine homogeneous_engine(homogeneous);
   const FleetResult a = small_engine.run();
   const FleetResult b = large_engine.run();
-  // The SoA layout is ~30 B/client at any scale: O(1) bytes per client,
-  // no per-client heap objects.
-  EXPECT_LE(a.bytes_per_client(), 64.0);
-  EXPECT_LE(b.bytes_per_client(), 64.0);
-  EXPECT_NEAR(a.bytes_per_client(), b.bytes_per_client(), 4.0);
+  const FleetResult c = homogeneous_engine.run();
+  // The SoA layout is exactly 18 B/client at any scale (u16 cluster, u32
+  // participation and jitter cursors, f64 speed), with no per-client heap
+  // objects; without heterogeneity the speed column is not allocated.
+  EXPECT_EQ(a.bytes_per_client(), 18.0);
+  EXPECT_EQ(b.bytes_per_client(), 18.0);
+  EXPECT_EQ(c.bytes_per_client(), 10.0);
   EXPECT_GT(b.peak_rss_bytes, 0u);
 }
 
