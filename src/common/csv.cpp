@@ -61,70 +61,4 @@ void CsvWriter::write_row(const std::vector<double>& cells) {
   write_row(text);
 }
 
-std::vector<std::string> CsvReader::parse_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cell += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      cells.push_back(std::move(cell));
-      cell.clear();
-    } else {
-      cell += c;
-    }
-  }
-  BOFL_REQUIRE(!quoted, "unterminated quote in CSV line: " + line);
-  cells.push_back(std::move(cell));
-  return cells;
-}
-
-CsvReader::CsvReader(const std::string& path) {
-  std::ifstream in(path);
-  BOFL_REQUIRE(in.is_open(), "cannot open CSV file: " + path);
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (line.empty()) {
-      continue;
-    }
-    std::vector<std::string> cells = parse_line(line);
-    if (first) {
-      header_ = std::move(cells);
-      first = false;
-      continue;
-    }
-    BOFL_REQUIRE(cells.size() == header_.size(),
-                 "CSV row width mismatch in " + path);
-    rows_.push_back(std::move(cells));
-  }
-  BOFL_REQUIRE(!header_.empty(), "CSV file has no header: " + path);
-}
-
-std::size_t CsvReader::column(const std::string& name) const {
-  for (std::size_t i = 0; i < header_.size(); ++i) {
-    if (header_[i] == name) {
-      return i;
-    }
-  }
-  BOFL_REQUIRE(false, "no such CSV column: " + name);
-  return 0;
-}
-
 }  // namespace bofl

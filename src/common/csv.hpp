@@ -18,7 +18,7 @@ class CsvWriter {
   /// Write one row; must have exactly as many cells as the header.
   void write_row(const std::vector<std::string>& cells);
 
-  /// Convenience: numeric row (formatted with %.10g).
+  /// Convenience: numeric row (formatted with %.17g).
   void write_row(const std::vector<double>& cells);
 
   [[nodiscard]] std::size_t rows_written() const { return rows_; }
@@ -34,32 +34,6 @@ class CsvWriter {
   std::ofstream out_;
   std::size_t columns_;
   std::size_t rows_ = 0;
-};
-
-/// Parse a CSV file written by CsvWriter (RFC-4180 quoting).  Returns the
-/// header separately from the data rows; every row is validated against
-/// the header width.
-class CsvReader {
- public:
-  explicit CsvReader(const std::string& path);
-
-  [[nodiscard]] const std::vector<std::string>& header() const {
-    return header_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::string>>& rows() const {
-    return rows_;
-  }
-
-  /// Index of a header column; throws if absent.
-  [[nodiscard]] std::size_t column(const std::string& name) const;
-
-  /// Parse one line into cells (exposed for testing).
-  [[nodiscard]] static std::vector<std::string> parse_line(
-      const std::string& line);
-
- private:
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
 };
 
 }  // namespace bofl

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/quasirandom.hpp"
 #include "common/stats.hpp"
-#include "core/state_io.hpp"
 #include "pareto/pareto.hpp"
 #include "telemetry/run_recorder.hpp"
 
@@ -73,6 +72,16 @@ bool explored_enough(const bo::MboEngine& engine) {
 }
 
 }  // namespace
+
+double quotient_exact_weighted(double mean, double jobs) {
+  double w = mean * jobs;
+  for (int step = 0; step < 4 && w / jobs != mean; ++step) {
+    w = std::nextafter(w, w / jobs < mean
+                              ? std::numeric_limits<double>::infinity()
+                              : -std::numeric_limits<double>::infinity());
+  }
+  return w;
+}
 
 BoflController::BoflController(const device::DeviceModel& model,
                                device::WorkloadProfile profile,

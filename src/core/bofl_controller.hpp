@@ -108,8 +108,9 @@ class BoflController final : public PaceController {
   /// the observations (BoFL's constructed front, Fig. 11).
   [[nodiscard]] std::vector<std::size_t> pareto_flat_ids() const;
 
-  /// One persisted per-configuration measurement aggregate (state_io.hpp
-  /// serializes these so a controller can resume after a device restart).
+  /// One persisted per-configuration measurement aggregate (the knowledge
+  /// store's JSON holds these, so a controller can resume after a device
+  /// restart: see priors/knowledge_store.hpp and bofl_sim --save-state).
   struct SavedObservation {
     std::size_t config_flat = 0;
     double jobs = 0.0;
@@ -243,5 +244,14 @@ class BoflController final : public PaceController {
   bool prior_demote_pending_ = false;
   PriorState prior_state_ = PriorState::kNone;
 };
+
+/// Weighted sum w such that w / jobs == mean bit-exactly.  mean * jobs is
+/// within an ulp or two of such a w (every saved mean was itself produced
+/// by a division by jobs), but the product alone can land on a neighbour
+/// whose quotient rounds elsewhere — which would make
+/// save -> load -> import -> save drift by one ulp per generation instead
+/// of being byte-stable.  Shared by BoflController::import_state and the
+/// priors KnowledgeStore merge so cross-generation round trips stay exact.
+[[nodiscard]] double quotient_exact_weighted(double mean, double jobs);
 
 }  // namespace bofl::core

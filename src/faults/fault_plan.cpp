@@ -12,6 +12,7 @@ namespace bofl::faults {
 
 namespace {
 
+using telemetry::integer_field;
 using telemetry::JsonNode;
 using telemetry::number_field;
 
@@ -149,7 +150,7 @@ FaultSpec fault_spec_from_json(const telemetry::JsonNode& node) {
   spec.period_s = number_field(node, "period_s", 0.0);
   spec.magnitude = number_field(node, "magnitude", 1.0);
   spec.probability = number_field(node, "probability", 1.0);
-  spec.client = static_cast<std::int64_t>(number_field(node, "client", -1.0));
+  spec.client = integer_field(node, "client", -1, -1);
   return spec;
 }
 
@@ -169,7 +170,7 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
   BOFL_REQUIRE(root.type == JsonNode::Type::kObject,
                "a fault plan must be a JSON object");
   FaultPlan plan;
-  plan.seed = static_cast<std::uint64_t>(number_field(root, "seed", 0.0));
+  plan.seed = static_cast<std::uint64_t>(integer_field(root, "seed", 0));
   if (const JsonNode* name = root.find("name")) {
     BOFL_REQUIRE(name->type == JsonNode::Type::kString,
                  "fault plan 'name' must be a string");

@@ -13,14 +13,10 @@ namespace bofl::faults {
 
 namespace {
 
+using telemetry::integer_field;
 using telemetry::JsonNode;
 using telemetry::JsonValue;
 using telemetry::number_field;
-
-std::int64_t int_field(const JsonNode& node, const char* key,
-                       double fallback) {
-  return static_cast<std::int64_t>(number_field(node, key, fallback));
-}
 
 }  // namespace
 
@@ -124,7 +120,7 @@ FleetScenario FleetScenario::from_json(const std::string& text) {
   BOFL_REQUIRE(root.type == JsonNode::Type::kObject,
                "a fleet scenario must be a JSON object");
   FleetScenario scenario;
-  scenario.seed = static_cast<std::uint64_t>(number_field(root, "seed", 0.0));
+  scenario.seed = static_cast<std::uint64_t>(integer_field(root, "seed", 0));
   if (const JsonNode* name = root.find("name")) {
     BOFL_REQUIRE(name->type == JsonNode::Type::kString,
                  "fleet scenario 'name' must be a string");
@@ -136,13 +132,13 @@ FleetScenario FleetScenario::from_json(const std::string& text) {
     scenario.churn.leave_prob = number_field(*churn, "leave_prob", 0.0);
     scenario.churn.rejoin_prob = number_field(*churn, "rejoin_prob", 0.0);
     scenario.churn.reset_prob = number_field(*churn, "reset_prob", 0.0);
-    scenario.churn.start_round = int_field(*churn, "start_round", 0.0);
+    scenario.churn.start_round = integer_field(*churn, "start_round", 0);
   }
   if (const JsonNode* diurnal = root.find("diurnal")) {
     BOFL_REQUIRE(diurnal->type == JsonNode::Type::kObject,
                  "fleet scenario 'diurnal' must be an object");
     scenario.diurnal.period_rounds =
-        int_field(*diurnal, "period_rounds", 0.0);
+        integer_field(*diurnal, "period_rounds", 0);
     scenario.diurnal.cohort_amplitude =
         number_field(*diurnal, "cohort_amplitude", 0.0);
     scenario.diurnal.deadline_amplitude =
@@ -155,8 +151,8 @@ FleetScenario FleetScenario::from_json(const std::string& text) {
       BOFL_REQUIRE(entry.type == JsonNode::Type::kObject,
                    "each task switch must be a JSON object");
       TaskSwitchSpec ts;
-      ts.round = int_field(entry, "round", 0.0);
-      ts.cluster = int_field(entry, "cluster", -1.0);
+      ts.round = integer_field(entry, "round", 0);
+      ts.cluster = integer_field(entry, "cluster", -1, -1);
       const JsonNode* profile = entry.find("profile");
       BOFL_REQUIRE(
           profile != nullptr && profile->type == JsonNode::Type::kString,

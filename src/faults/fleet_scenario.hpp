@@ -5,9 +5,10 @@
 // processes, all keyed on the fleet round index:
 //   * churn     — clients leave and re-join; a re-join either restores the
 //                 client's pace state (its trajectory cursor — the fleet
-//                 analogue of a state_io resume) or loses it (app killed,
-//                 storage wiped), putting the client back at entry 0 where
-//                 the cluster prior re-admits it through the knowledge plane;
+//                 analogue of a bofl_sim --load-state resume) or loses it
+//                 (app killed, storage wiped), putting the client back at
+//                 entry 0 where the cluster prior re-admits it through the
+//                 knowledge plane;
 //   * diurnal   — cohort size and deadline pressure follow a triangle wave
 //                 (exact piecewise-linear arithmetic, no libm), the fleet
 //                 analogue of day/night availability and peak-hour deadlines;

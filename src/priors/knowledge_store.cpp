@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/state_io.hpp"
 #include "pareto/pareto.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/json_reader.hpp"
@@ -19,7 +18,8 @@ namespace {
 using core::BoflController;
 
 /// Job-weighted combination of two aggregates of the same config, with the
-/// state_io nextafter trick so mean -> weighted -> mean round trips exactly.
+/// import_state nextafter trick so mean -> weighted -> mean round trips
+/// exactly.
 BoflController::SavedObservation merge_observation(
     const BoflController::SavedObservation& a,
     const BoflController::SavedObservation& b) {
@@ -228,6 +228,8 @@ std::string KnowledgeStore::to_json() const {
 
 KnowledgeStore KnowledgeStore::from_json(const std::string& text,
                                          StoreOptions options) {
+  using telemetry::integer_field;
+  using telemetry::integer_value;
   using telemetry::JsonNode;
   using telemetry::number_field;
   const JsonNode root = telemetry::parse_json(text);
@@ -255,17 +257,18 @@ KnowledgeStore KnowledgeStore::from_json(const std::string& text,
     ClusterKey key{device->string, workload->string};
     ClusterKnowledge cluster;
     cluster.contributions =
-        static_cast<std::uint64_t>(number_field(entry, "contributions", 0.0));
+        static_cast<std::uint64_t>(integer_field(entry, "contributions", 0));
     cluster.verified =
-        static_cast<std::uint64_t>(number_field(entry, "verified", 0.0));
-    cluster.mispredictions = static_cast<std::uint64_t>(
-        number_field(entry, "mispredictions", 0.0));
+        static_cast<std::uint64_t>(integer_field(entry, "verified", 0));
+    cluster.mispredictions =
+        static_cast<std::uint64_t>(integer_field(entry, "mispredictions", 0));
     const JsonNode* snap = entry.find("snapshot");
     BOFL_REQUIRE(snap != nullptr && snap->type == JsonNode::Type::kObject,
                  "each cluster needs a 'snapshot' object");
-    cluster.snapshot.source_rounds = static_cast<std::int64_t>(
-        number_field(*snap, "source_rounds", 0.0));
+    cluster.snapshot.source_rounds = integer_field(*snap, "source_rounds", 0);
     cluster.snapshot.t_x_max_s = number_field(*snap, "t_x_max_s", 0.0);
+    BOFL_REQUIRE(cluster.snapshot.t_x_max_s >= 0.0,
+                 "'t_x_max_s' cannot be negative");
     if (const JsonNode* observations = snap->find("observations")) {
       BOFL_REQUIRE(observations->type == JsonNode::Type::kArray,
                    "'observations' must be an array");
@@ -278,10 +281,19 @@ KnowledgeStore KnowledgeStore::from_json(const std::string& text,
                        "observation cells must be numbers");
         }
         BoflController::SavedObservation obs;
-        obs.config_flat = static_cast<std::size_t>(row.array[0].number);
+        obs.config_flat = static_cast<std::size_t>(
+            integer_value(row.array[0], 0, "observation id"));
+        // contribute()'s two-pointer merge needs sorted, unique ids.
+        BOFL_REQUIRE(cluster.snapshot.observations.empty() ||
+                         cluster.snapshot.observations.back().config_flat <
+                             obs.config_flat,
+                     "observation ids must be strictly ascending");
         obs.jobs = row.array[1].number;
         obs.mean_energy = row.array[2].number;
         obs.mean_latency = row.array[3].number;
+        BOFL_REQUIRE(obs.jobs > 0.0 && obs.mean_energy > 0.0 &&
+                         obs.mean_latency > 0.0,
+                     "observation jobs and means must be positive");
         cluster.snapshot.observations.push_back(obs);
       }
     }
@@ -289,20 +301,22 @@ KnowledgeStore KnowledgeStore::from_json(const std::string& text,
       BOFL_REQUIRE(front->type == JsonNode::Type::kArray,
                    "'pareto' must be an array");
       for (const JsonNode& id : front->array) {
-        BOFL_REQUIRE(id.type == JsonNode::Type::kNumber,
-                     "pareto ids must be numbers");
         cluster.snapshot.pareto_flat_ids.push_back(
-            static_cast<std::size_t>(id.number));
+            static_cast<std::size_t>(integer_value(id, 0, "pareto id")));
       }
     }
     if (const JsonNode* fits = snap->find("gp")) {
       BOFL_REQUIRE(fits->type == JsonNode::Type::kArray,
                    "'gp' must be an array");
+      BOFL_REQUIRE(fits->array.empty() || fits->array.size() == 2,
+                   "'gp' holds no fit or one per objective");
       if (fits->array.size() == 2) {
         cluster.snapshot.fit1 = fit_from_json(fits->array[0]);
         cluster.snapshot.fit2 = fit_from_json(fits->array[1]);
       }
     }
+    BOFL_REQUIRE(!store.clusters_.contains(key),
+                 "duplicate cluster in knowledge store: " + key.label());
     store.clusters_.emplace(std::move(key), std::move(cluster));
   }
   return store;

@@ -1,11 +1,15 @@
 // The fleet knowledge plane's server-side store: one merged PriorSnapshot
 // per (device model × workload profile) cluster plus an outcome-driven
-// confidence score that gates admission.
+// confidence score that gates admission.  Its JSON is also the one on-disk
+// format for a single controller's learned state: bofl_sim --save-state
+// writes a one-cluster store and --load-state imports that cluster's
+// observations.
 //
 // Determinism rules (DESIGN.md §6g):
 //   - contribute() merges with quotient-exact weighted means (the same
-//     nextafter arithmetic state_io uses), so merge(a, merge(b, c)) is a
-//     pure function of the contribution sequence;
+//     nextafter arithmetic BoflController::import_state uses), so
+//     merge(a, merge(b, c)) is a pure function of the contribution
+//     sequence;
 //   - callers contribute in (cluster-id, client-id) canonical order — the
 //     fleet engine iterates clusters in creation order, fl::Simulation in
 //     client-id order — so a store built at any --shards × --threads layout
@@ -84,6 +88,12 @@ class KnowledgeStore {
 
   /// Byte-stable serialization (see the determinism rules above).
   [[nodiscard]] std::string to_json() const;
+  /// Checks every field before it is cast or used, and throws
+  /// std::invalid_argument on the first bad one: counts and ids must be
+  /// integers in [0, 2^53), observation ids strictly ascending, jobs and
+  /// means positive, t_x_max_s non-negative, 'gp' must hold no fit or one
+  /// per objective, and no cluster may appear twice.  Every store save()
+  /// writes passes.
   [[nodiscard]] static KnowledgeStore from_json(const std::string& text,
                                                 StoreOptions options = {});
   void save(const std::string& path) const;

@@ -198,4 +198,23 @@ double number_field(const JsonNode& node, const std::string& key,
   return field->number;
 }
 
+std::int64_t integer_value(const JsonNode& node, std::int64_t lo,
+                           const std::string& what) {
+  BOFL_REQUIRE(node.type == JsonNode::Type::kNumber,
+               "JSON " + what + " must be a number");
+  const double value = node.number;
+  BOFL_REQUIRE(value >= static_cast<double>(lo) && value < 0x1.0p53 &&
+                   value == std::floor(value),
+               "JSON " + what + " must be an integer in [" +
+                   std::to_string(lo) + ", 2^53)");
+  return static_cast<std::int64_t>(value);
+}
+
+std::int64_t integer_field(const JsonNode& node, const std::string& key,
+                           std::int64_t fallback, std::int64_t lo) {
+  const JsonNode* field = node.find(key);
+  return field == nullptr ? fallback
+                          : integer_value(*field, lo, "field '" + key + "'");
+}
+
 }  // namespace bofl::telemetry

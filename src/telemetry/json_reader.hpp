@@ -5,6 +5,7 @@
 // exactly the dialect JsonValue::dump emits.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,5 +39,19 @@ struct JsonNode {
 /// when the field exists but is not a number.
 [[nodiscard]] double number_field(const JsonNode& node, const std::string& key,
                                   double fallback);
+
+/// Read `node` as an integer in [lo, 2^53), the range where every integer
+/// is an exact double.  Throws before any cast when the node is not a
+/// number, has a fraction or lies outside the range; `what` names the
+/// value in the message.
+[[nodiscard]] std::int64_t integer_value(const JsonNode& node,
+                                         std::int64_t lo,
+                                         const std::string& what);
+
+/// Read object field `key` through integer_value, or `fallback` when absent.
+[[nodiscard]] std::int64_t integer_field(const JsonNode& node,
+                                         const std::string& key,
+                                         std::int64_t fallback,
+                                         std::int64_t lo = 0);
 
 }  // namespace bofl::telemetry

@@ -159,6 +159,53 @@ TEST(KnowledgeStore, SaveOverAnExistingStoreMatchesAFreshSave) {
   std::filesystem::remove_all(dir);
 }
 
+// A store is a file boundary: each hostile variant of a valid store is a
+// typed error, and every check runs before its cast (the asan-ubsan build
+// traps a double-to-integer cast out of range).
+TEST(KnowledgeStore, RejectsHostileStores) {
+  const std::string valid =
+      R"({"version":1,"clusters":[{"device":"jetson-agx","workload":"vit",)"
+      R"("contributions":1,"verified":0,"mispredictions":0,"snapshot":{)"
+      R"("source_rounds":10,"t_x_max_s":0.25,)"
+      R"("observations":[[3,2,4,1],[7,2,1,2]],"pareto":[3,7],"gp":[]}}]})";
+  EXPECT_EQ(KnowledgeStore::from_json(valid).to_json(), valid);
+
+  struct Hostile {
+    const char* name;
+    const char* from;
+    const char* to;
+  };
+  const Hostile cases[] = {
+      {"fractional id", "[7,2,1,2]", "[26.7,2,1,2]"},
+      {"huge id", "[7,2,1,2]", "[1e300,2,1,2]"},
+      {"negative count", R"("mispredictions":0)",
+       R"("mispredictions":-1e300)"},
+      {"huge pareto id", R"("pareto":[3,7])", R"("pareto":[3,1e300])"},
+      {"duplicate row", "[[3,2,4,1],", "[[3,2,4,1],[3,2,4,1],"},
+      {"zero jobs", "[7,2,1,2]", "[7,0,1,2]"},
+      {"descending ids", "[[3,2,4,1],[7,2,1,2]]", "[[7,2,1,2],[3,2,4,1]]"},
+      {"one gp fit", R"("gp":[])",
+       R"("gp":[{"objective":1,"family":"matern52","signal_variance":1,)"
+       R"("noise_variance":0,"lml":0,"lengthscales":[1,1,1]}])"},
+      {"negative mean", "[7,2,1,2]", "[7,2,-1,2]"},
+      {"fractional contributions", R"("contributions":1)",
+       R"("contributions":1.5)"},
+      {"huge source rounds", R"("source_rounds":10)",
+       R"("source_rounds":1e300)"},
+      {"negative t_x_max", R"("t_x_max_s":0.25)", R"("t_x_max_s":-0.25)"},
+      {"duplicate cluster", "}}]}",
+       R"(}},{"device":"jetson-agx","workload":"vit","snapshot":{}}]})"},
+  };
+  for (const Hostile& hostile : cases) {
+    std::string text = valid;
+    const std::size_t at = text.find(hostile.from);
+    ASSERT_NE(at, std::string::npos) << hostile.name;
+    text.replace(at, std::string(hostile.from).size(), hostile.to);
+    EXPECT_THROW((void)KnowledgeStore::from_json(text), std::invalid_argument)
+        << hostile.name << ": " << text;
+  }
+}
+
 TEST(KnowledgeStore, EmptySnapshotNeverAdmits) {
   KnowledgeStore store;
   store.contribute(kKey, PriorSnapshot{});

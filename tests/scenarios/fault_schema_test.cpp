@@ -77,5 +77,22 @@ TEST(FaultEventSchema, PlanJsonRoundTripIsByteStable) {
       "\"period_s\":0,\"magnitude\":2,\"probability\":0.25,\"client\":1}]}");
 }
 
+// A plan's integer fields are checked before the cast: a seed or client
+// that is negative, fractional or past 2^53 is a typed error.
+TEST(FaultEventSchema, PlanRejectsNonIntegralSeedAndClient) {
+  for (const char* plan :
+       {R"({"seed": -5})", R"({"seed": 1e300})", R"({"seed": 2.5})",
+        R"({"faults": [{"kind": "straggler", "client": 1.5}]})",
+        R"({"faults": [{"kind": "straggler", "client": -2}]})",
+        R"({"faults": [{"kind": "straggler", "client": 1e300}]})"}) {
+    EXPECT_THROW((void)FaultPlan::from_json(plan), std::invalid_argument)
+        << plan;
+  }
+  const FaultPlan valid = FaultPlan::from_json(
+      R"({"seed": 7, "faults": [{"kind": "straggler", "client": 1}]})");
+  EXPECT_EQ(valid.seed, 7U);
+  EXPECT_EQ(valid.faults.at(0).client, 1);
+}
+
 }  // namespace
 }  // namespace bofl::faults

@@ -79,6 +79,20 @@ TEST(FleetScenarioSchema, RejectsInvalidSpecs) {
                    R"({"battery": {"capacity_j": -1.0}})"),
                std::exception);
   EXPECT_THROW(make_fleet_scenario("no-such-scenario", 1), std::exception);
+  // Integer fields must be integers in range, checked before the cast: a
+  // negative or huge seed, a fractional period or cluster index.
+  for (const char* spec :
+       {R"({"seed": -5})", R"({"seed": 1e300})", R"({"seed": 1.5})",
+        R"({"diurnal": {"period_rounds": 2.5}})",
+        R"({"churn": {"start_round": 1e300}})",
+        R"({"task_switches": [{"round": 2, "cluster": 0.5,
+                               "profile": "vit"}]})",
+        R"({"task_switches": [{"round": 2, "cluster": -2,
+                               "profile": "vit"}]})",
+        R"({"faults": [{"kind": "straggler", "client": 2.5}]})"}) {
+    EXPECT_THROW((void)FleetScenario::from_json(spec), std::invalid_argument)
+        << spec;
+  }
 }
 
 // JSON has no inf or NaN, and strtod reads 1e999 as inf: a spec with an

@@ -5,7 +5,8 @@
 //            [--ratio 2.0] [--rounds 100] [--seed 1] [--tau 5.0]
 //            [--spike-prob 0] [--spike-mag 3] [--thermal]
 //            [--faults PLAN.json | --scenario NAME] [--list-scenarios]
-//            [--threads N] [--simd avx2|scalar] [--csv PATH] [--quiet]
+//            [--threads N] [--simd avx2|scalar] [--csv PATH]
+//            [--save-state PATH] [--load-state PATH] [--quiet]
 //            [--metrics-out PATH] [--metrics-summary]
 //
 // Runs one pace controller through one FL task on one simulated testbed and
@@ -15,8 +16,13 @@
 // summary table to stdout.  --faults injects a fault plan (src/faults JSON
 // dialect); --scenario runs a named curated plan (clean, thermal-storm,
 // flaky-sysfs, straggler-heavy, mid-round-throttle) scaled to the round
-// schedule.  Everything a downstream user needs to poke at the system
-// without writing C++.
+// schedule.  --save-state writes the BoFL controller's learned state as a
+// one-cluster knowledge store (priors/knowledge_store.hpp, the format
+// bofl_fleet --priors save writes); --load-state resumes from the
+// device/task cluster of such a store, and a store without that cluster or
+// with a malformed field is a usage error.  Everything a downstream user
+// needs to poke at the system without writing C++.
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -24,10 +30,11 @@
 
 #include "cli.hpp"
 #include "common/csv.hpp"
+#include "common/error.hpp"
 #include "core/harness.hpp"
-#include "core/state_io.hpp"
 #include "faults/fault_injector.hpp"
 #include "linalg/simd/dispatch.hpp"
+#include "priors/knowledge_store.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace {
@@ -158,7 +165,14 @@ int run_sim(int argc, char** argv) {
       bofl->set_parallel_pool(&pool);
       const std::string state_path = flags.get("load-state", "");
       if (!state_path.empty()) {
-        bofl->import_state(core::load_state(state_path));
+        const priors::KnowledgeStore store =
+            priors::KnowledgeStore::from_file(state_path);
+        const priors::ClusterKey key =
+            priors::ClusterKey::of(model, task.profile);
+        const auto found = store.clusters().find(key);
+        BOFL_REQUIRE(found != store.clusters().end(),
+                     "no " + key.label() + " state in " + state_path);
+        bofl->import_state(found->second.snapshot.observations);
         std::printf("resumed from %s (phase %d)\n", state_path.c_str(),
                     static_cast<int>(bofl->phase()));
       }
@@ -234,7 +248,12 @@ int run_sim(int argc, char** argv) {
     const std::string save_path = flags.get("save-state", "");
     if (!save_path.empty()) {
       if (auto* bofl = dynamic_cast<core::BoflController*>(controller.get())) {
-        core::save_state(*bofl, save_path);
+        priors::KnowledgeStore store;
+        store.contribute(
+            priors::ClusterKey::of(model, task.profile),
+            priors::distill(*bofl,
+                            static_cast<std::int64_t>(result.rounds.size())));
+        store.save(save_path);
         std::printf("state saved to %s (%zu configurations)\n",
                     save_path.c_str(), bofl->export_state().size());
       } else {
