@@ -10,6 +10,7 @@
 // running this test and copying the printed actual hash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 
@@ -44,6 +45,11 @@ constexpr std::uint64_t kGoldenChurnTraceHash = 0x1342350b1c9a809aULL;
 /// participation drains training plus MBO energy from the client's budget,
 /// so clients re-selected too soon sit the round out.
 constexpr std::uint64_t kGoldenBatteryTraceHash = 0xe441951ac7b3688dULL;
+/// The same fleet under the diurnal population scenario: the round's cohort
+/// fraction (the selection threshold) and deadline factor follow the
+/// day/night wave, so each round draws its cohort against a different
+/// threshold.
+constexpr std::uint64_t kGoldenDiurnalTraceHash = 0x422914f7972f8301ULL;
 
 /// Pins the dispatch level for the test body and restores the ambient level
 /// on exit, so ordering against other tests in this binary doesn't matter.
@@ -162,6 +168,23 @@ TEST(FleetGoldenHash, BatteryBudgetReproducesCommittedTraceHash) {
   EXPECT_GT(result.total_battery_blocked(), 0u)
       << "no client was held back: the battery drain did not bind";
   EXPECT_EQ(result.trace_hash, kGoldenBatteryTraceHash)
+      << "actual hash 0x" << std::hex << result.trace_hash;
+}
+
+TEST(FleetGoldenHash, DiurnalScenarioReproducesCommittedTraceHash) {
+  const FleetResult result =
+      run_small_fleet(core::ControllerKind::kBofl, std::nullopt, 0.0,
+                      faults::make_fleet_scenario("diurnal", 11));
+  std::uint32_t smallest = result.rounds.front().participants;
+  std::uint32_t largest = smallest;
+  for (const FleetRoundStats& round : result.rounds) {
+    smallest = std::min(smallest, round.participants);
+    largest = std::max(largest, round.participants);
+  }
+  EXPECT_LT(smallest, largest)
+      << "every round drew the same cohort size: the diurnal threshold did "
+         "not move";
+  EXPECT_EQ(result.trace_hash, kGoldenDiurnalTraceHash)
       << "actual hash 0x" << std::hex << result.trace_hash;
 }
 
