@@ -97,7 +97,7 @@ double MboEngine::observed_hypervolume() const {
 }
 
 std::vector<std::size_t> MboEngine::propose_batch(std::size_t batch_size) {
-  BOFL_REQUIRE(observations_.size() >= 3,
+  BOFL_REQUIRE(observations_.size() >= kMinProposeObservations,
                "propose_batch needs at least 3 observations");
   batch_size = std::min(batch_size, options_.max_batch_size);
 

@@ -62,6 +62,9 @@ struct MboOptions {
   gp::HyperoptOptions hyperopt;
 };
 
+/// The fewest observations propose_batch fits its surrogates to.
+inline constexpr std::size_t kMinProposeObservations = 3;
+
 /// One completed measurement of a candidate.
 struct MboObservation {
   std::size_t candidate_index = 0;
@@ -87,7 +90,8 @@ class MboEngine {
 
   /// Greedy EHVI batch of up to `batch_size` *distinct unobserved*
   /// candidates (also capped by options.max_batch_size and by the number of
-  /// unobserved candidates left).  Requires >= 3 observations.
+  /// unobserved candidates left).  Requires at least
+  /// kMinProposeObservations observations.
   [[nodiscard]] std::vector<std::size_t> propose_batch(std::size_t batch_size);
 
   /// Fit hyperparameters and score candidates on `pool` (non-owning;

@@ -39,6 +39,22 @@ class StreamHash {
   std::uint64_t mixed_;
 };
 
+/// Integer form of a Bernoulli(p) draw on a 64-bit hash h: for every p,
+///   (h >> 11) < unit_threshold(p)  <=>  double(h >> 11) * 2^-53 < p.
+/// Scaling by 2^53 is exact and k = h >> 11 is an integer below 2^53, so
+/// k < p * 2^53 <=> k < ceil(p * 2^53); p >= 1 gives 2^53 (always true),
+/// p <= 0 and NaN give 0 (never).  A loop over many clients pays the
+/// conversion once per probability, not once per draw.
+[[nodiscard]] inline std::uint64_t unit_threshold(double p) {
+  if (!(p > 0.0)) {
+    return 0;
+  }
+  if (p >= 1.0) {
+    return std::uint64_t{1} << 53;
+  }
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
+
 /// Deterministic seed for substream `stream` of a base seed.  Parallel code
 /// derives one independent Rng per *task* (client, candidate, round — never
 /// per thread), so results are bit-identical whatever the worker count and

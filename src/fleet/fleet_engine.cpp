@@ -1,6 +1,7 @@
 #include "fleet/fleet_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -388,9 +389,6 @@ ShardRoundStats FleetEngine::run_round(std::int64_t round,
       injector_.has_value() ? &*injector_ : nullptr;
   const bool fl_faults =
       injector != nullptr && injector->plan().has_fl_faults();
-  const StreamHash select_base(stream_seed(
-      config_.seed ^ kSelectDomain, static_cast<std::uint64_t>(round)));
-
   // Fleet-scenario round state: the diurnal factors are exact functions of
   // the round index; churn draw bases mix fleet seed, scenario seed,
   // domain and round — all layout-independent.
@@ -412,68 +410,121 @@ ShardRoundStats FleetEngine::run_round(std::int64_t round,
     return StreamHash(
         stream_seed(churn_seed ^ domain, static_cast<std::uint64_t>(round)));
   };
-  const StreamHash leave_base = churn_base(kLeaveDomain);
-  const StreamHash rejoin_base = churn_base(kRejoinDomain);
-  const StreamHash reset_base = churn_base(kResetDomain);
+  // Before the churn start round nobody flips: every churn probability is 0.
+  const faults::ChurnSpec round_churn =
+      churn_live ? scenario->churn : faults::ChurnSpec{};
 
   // Pass 1 (parallel): battery recharge, churn transitions, selection,
-  // dropout, battery gate, needed trajectory depth.
+  // dropout, battery gate, needed trajectory depth.  Each shard is swept in
+  // blocks of 64 clients: branch-free loops update the block's battery and
+  // churn state and build its selection mask, then only the selected
+  // clients, walked in ascending order by their set bits, reach the dropout
+  // and battery gates and the cohort.
   runtime::parallel_for_each(pool, shards_.size(), [&](std::size_t s) {
+    // The round's invariants and the shard's columns as task locals: a
+    // store to a column (the u8 `active` aliases anything) would otherwise
+    // force a reload of every by-reference capture per client.
+    const bool battery = has_battery;
+    const bool churn = has_churn;
+    const bool drops = fl_faults;
+    const std::uint64_t capacity_uj = battery_capacity_uj_;
+    const std::uint64_t recharge_uj = battery_recharge_uj_;
+    const std::uint64_t watermark_uj = battery_watermark_uj_;
+    // Every Bernoulli draw is `(hash >> 11) < threshold`, the exact integer
+    // form of `hash_unit(base, client) < p` (common/rng.hpp).
+    const std::uint64_t select = unit_threshold(cohort_fraction);
+    const std::uint64_t leave = unit_threshold(round_churn.leave_prob);
+    const std::uint64_t rejoin = unit_threshold(round_churn.rejoin_prob);
+    const std::uint64_t reset = unit_threshold(round_churn.reset_prob);
+    const StreamHash select_hash(stream_seed(
+        config_.seed ^ kSelectDomain, static_cast<std::uint64_t>(round)));
+    const StreamHash leave_hash = churn_base(kLeaveDomain);
+    const StreamHash rejoin_hash = churn_base(kRejoinDomain);
+    const StreamHash reset_hash = churn_base(kResetDomain);
+
     ClientShard& shard = shards_[s];
-    shard.round_stats = ShardRoundStats{};
     shard.cohort.clear();
     std::fill(shard.needed_entries.begin(), shard.needed_entries.end(), 0U);
+    const std::uint16_t* const cluster = shard.cluster.data();
+    std::uint32_t* const participations = shard.participations.data();
+    std::uint8_t* const active = shard.active.data();
+    std::uint64_t* const battery_uj = shard.battery_uj.data();
+    std::uint32_t* const needed = shard.needed_entries.data();
+    ShardRoundStats stats;
     const std::size_t begin = shard.range().begin;
     const std::size_t count = shard.size();
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint64_t client = begin + i;
-      if (has_battery) {
+    for (std::size_t block = 0; block < count; block += 64) {
+      const std::size_t width = std::min<std::size_t>(64, count - block);
+      const std::uint64_t first = begin + block;  // client id of bit 0
+      if (battery) {
         // Every round recharges every client, participant or not.
-        shard.battery_uj[i] = std::min(
-            battery_capacity_uj_, shard.battery_uj[i] + battery_recharge_uj_);
+        for (std::size_t i = block; i < block + width; ++i) {
+          battery_uj[i] = std::min(capacity_uj, battery_uj[i] + recharge_uj);
+        }
       }
-      if (has_churn) {
-        if (churn_live) {
-          if (shard.active[i] != 0) {
-            if (hash_unit(leave_base, client) < scenario->churn.leave_prob) {
-              shard.active[i] = 0;
-              ++shard.round_stats.departed;
-            }
-          } else if (hash_unit(rejoin_base, client) <
-                     scenario->churn.rejoin_prob) {
-            shard.active[i] = 1;
-            ++shard.round_stats.rejoined;
-            if (hash_unit(reset_base, client) < scenario->churn.reset_prob) {
-              // State lost: the trajectory cursor restarts at entry 0 (the
-              // cluster's verification-through-prior entries); the jitter
-              // cursor keeps advancing — a re-join is a fresh execution
-              // history, not a replay.
-              shard.participations[i] = 0;
-              ++shard.round_stats.resets;
-            }
+      // Bit j: client first + j is in the fleet after this round's churn.
+      std::uint64_t present = ~std::uint64_t{0} >> (64 - width);
+      if (churn) {
+        // A member draws on the leave stream, an absent client on the
+        // re-join stream; either draw flips its membership.
+        std::uint64_t member = 0;
+        std::uint64_t flips = 0;
+        for (std::size_t j = 0; j < width; ++j) {
+          const std::uint64_t in = active[block + j];
+          const StreamHash& flip_hash = in != 0 ? leave_hash : rejoin_hash;
+          const std::uint64_t flip_thr = in != 0 ? leave : rejoin;
+          member |= in << j;
+          flips |= static_cast<std::uint64_t>(
+                       (flip_hash(first + j) >> 11) < flip_thr)
+                   << j;
+        }
+        present = member ^ flips;
+        stats.departed +=
+            static_cast<std::uint32_t>(std::popcount(member & flips));
+        stats.rejoined +=
+            static_cast<std::uint32_t>(std::popcount(flips & ~member));
+        for (; flips != 0; flips &= flips - 1) {
+          const int j = std::countr_zero(flips);
+          const std::size_t i = block + static_cast<std::size_t>(j);
+          active[i] ^= 1U;
+          if ((member >> j & 1U) == 0 &&
+              (reset_hash(first + j) >> 11) < reset) {
+            // State lost: the trajectory cursor restarts at entry 0 (the
+            // cluster's verification-through-prior entries); the jitter
+            // cursor keeps advancing — a re-join is a fresh execution
+            // history, not a replay.
+            participations[i] = 0;
+            ++stats.resets;
           }
         }
-        if (shard.active[i] == 0) {
+      }
+      stats.active_clients +=
+          static_cast<std::uint32_t>(std::popcount(present));
+      std::uint64_t selected = 0;
+      for (std::size_t j = 0; j < width; ++j) {
+        selected |= static_cast<std::uint64_t>(
+                        (select_hash(first + j) >> 11) < select)
+                    << j;
+      }
+      selected &= present;
+      for (; selected != 0; selected &= selected - 1) {
+        const int j = std::countr_zero(selected);
+        const std::size_t i = block + static_cast<std::size_t>(j);
+        if (drops && injector->client_drops(
+                         round, static_cast<std::int64_t>(first + j))) {
+          ++stats.dropped;
           continue;
         }
+        if (battery && battery_uj[i] < watermark_uj) {
+          ++stats.battery_blocked;
+          continue;
+        }
+        shard.cohort.push_back(static_cast<std::uint32_t>(i));
+        needed[cluster[i]] =
+            std::max(needed[cluster[i]], participations[i] + 1);
       }
-      ++shard.round_stats.active_clients;
-      if (hash_unit(select_base, client) >= cohort_fraction) {
-        continue;
-      }
-      if (fl_faults &&
-          injector->client_drops(round, static_cast<std::int64_t>(client))) {
-        ++shard.round_stats.dropped;
-        continue;
-      }
-      if (has_battery && shard.battery_uj[i] < battery_watermark_uj_) {
-        ++shard.round_stats.battery_blocked;
-        continue;
-      }
-      shard.cohort.push_back(static_cast<std::uint32_t>(i));
-      std::uint32_t& needed = shard.needed_entries[shard.cluster[i]];
-      needed = std::max(needed, shard.participations[i] + 1);
     }
+    shard.round_stats = stats;
   });
   timing.select_ms += lap_ms();
 

@@ -14,7 +14,9 @@
 //     completion event to its shard's buffer; one linear fold per shard
 //     closes the round and replaces per-client polling (event_queue.hpp).
 //   * Each round is three parallel shard passes with serial merges between:
-//       pass 1  selection + dropout + needed-trajectory-depth   (parallel)
+//       pass 1  64-client blocks: branch-free selection mask,   (parallel)
+//               then dropout/battery gates + needed trajectory
+//               depth for its set bits only
 //       —— extend cluster trajectories, draw deadline jitter    (serial)
 //       pass 2  per-client costs, event pushes, SoA updates     (parallel)
 //       —— straggler cutoff from the fleet-wide max deadline    (serial)

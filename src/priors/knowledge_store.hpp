@@ -56,8 +56,9 @@ class KnowledgeStore {
 
   /// Admission decision for a client requesting `requested`: the policy the
   /// store actually grants (possibly downgraded) and the cluster snapshot,
-  /// or {kCold, nullptr} when the cluster is unknown, empty, or below the
-  /// confidence bar.  kCold requests pass through untouched.
+  /// or {kCold, nullptr} when the cluster is unknown, holds fewer than
+  /// bo::kMinProposeObservations observations (too few to fit the GP), or is
+  /// below the confidence bar.  kCold requests pass through untouched.
   struct Admission {
     PriorPolicy policy = PriorPolicy::kCold;
     const PriorSnapshot* snapshot = nullptr;

@@ -219,6 +219,49 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_LT(equal, 3);
 }
 
+TEST(UnitThreshold, IntegerCompareMatchesTheUnitDrawAtEveryEdge) {
+  // The fleet engine's Bernoulli draw, `double(h >> 11) * 2^-53 < p`, and
+  // its integer form must agree for every p, including hashes right at the
+  // threshold.
+  const auto unit_draw = [](std::uint64_t hash, double p) {
+    return static_cast<double>(hash >> 11) * 0x1.0p-53 < p;
+  };
+  const std::uint64_t top = std::uint64_t{1} << 53;
+  for (const double p :
+       {0.0, 4.9e-324, 1e-300, 0.01, 0.2, std::nextafter(0.2, 0.0),
+        std::nextafter(0.2, 1.0), 0.999999, 1.0}) {
+    SCOPED_TRACE(::testing::Message() << "p=" << std::hexfloat << p);
+    const std::uint64_t threshold = unit_threshold(p);
+    ASSERT_LE(threshold, top);
+    // Units straddling the threshold, each with the lowest and the highest
+    // value of the 11 bits the shift discards.
+    for (std::uint64_t delta = 0; delta < 4; ++delta) {
+      for (const std::uint64_t unit :
+           {threshold + delta, threshold - std::min(threshold, delta)}) {
+        if (unit >= top) {
+          continue;
+        }
+        for (const std::uint64_t low : {0x000ULL, 0x7FFULL}) {
+          const std::uint64_t hash = (unit << 11) | low;
+          EXPECT_EQ((hash >> 11) < threshold, unit_draw(hash, p))
+              << "hash=" << hash;
+        }
+      }
+    }
+    Rng rng(17);
+    for (int i = 0; i < 10000; ++i) {
+      const std::uint64_t hash = rng();
+      EXPECT_EQ((hash >> 11) < threshold, unit_draw(hash, p));
+    }
+  }
+  EXPECT_EQ(unit_threshold(0.0), 0u);
+  EXPECT_EQ(unit_threshold(-1.0), 0u);
+  EXPECT_EQ(unit_threshold(std::nan("")), 0u);
+  EXPECT_EQ(unit_threshold(4.9e-324), 1u);
+  EXPECT_EQ(unit_threshold(1.0), top);
+  EXPECT_EQ(unit_threshold(2.0), top);
+}
+
 TEST(SplitMix, KnownFirstOutput) {
   // Reference value from the SplitMix64 definition with state 0.
   std::uint64_t state = 0;

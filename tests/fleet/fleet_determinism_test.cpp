@@ -8,6 +8,7 @@
 
 #include "device/device_model.hpp"
 #include "device/workload.hpp"
+#include "faults/fleet_scenario.hpp"
 #include "faults/scenarios.hpp"
 #include "fleet/fleet_engine.hpp"
 
@@ -111,6 +112,73 @@ TEST(FleetDeterminism, SeedChangesTheTrace) {
   const FleetResult a = run_with(small_config(&agx, &tx2), 2, 2);
   const FleetResult b = run_with(other, 2, 2);
   EXPECT_NE(a.trace_hash, b.trace_hash);
+}
+
+/// Every pass-1 process at once: churn from round 1, battery budgets, the
+/// diurnal cohort wave and the straggler-heavy dropouts.
+faults::FleetScenario every_selection_process() {
+  faults::FleetScenario scenario = faults::make_fleet_scenario("churn", 5);
+  scenario.churn.start_round = 1;
+  scenario.battery = faults::make_fleet_scenario("battery-budget", 5).battery;
+  scenario.diurnal = faults::make_fleet_scenario("diurnal", 5).diurnal;
+  scenario.fault_plan = faults::make_scenario("straggler-heavy", 5, 100.0);
+  return scenario;
+}
+
+TEST(FleetDeterminism, ShardsShorterThanOneSelectionBlockMatchOneShard) {
+  // Pass 1 sweeps each shard in blocks of 64 clients.  100 and 1000 clients
+  // over 16 shards give shards of 6-7 and 62-63 clients: every block is a
+  // partial one, and no shard starts on a multiple of 64.
+  // Runs with and without churn: the membership mask comes from the churn
+  // draws in one and from the block width alone in the other.
+  const device::DeviceModel agx = device::jetson_agx();
+  const device::DeviceModel tx2 = device::jetson_tx2();
+  for (const std::size_t clients : {std::size_t{100}, std::size_t{1000}}) {
+    for (const bool churn : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "clients=" << clients << " churn=" << churn);
+      FleetConfig base = small_config(&agx, &tx2);
+      base.num_clients = clients;
+      base.rounds = 8;
+      base.cohort_fraction = 0.5;
+      base.scenario = every_selection_process();
+      if (!churn) {
+        base.scenario->churn = faults::ChurnSpec{};
+      }
+      const FleetResult reference = run_with(base, 1, 1);
+      ASSERT_GT(reference.total_participants(), 0u);
+      EXPECT_EQ(reference.total_departed() > 0, churn);
+      EXPECT_GT(reference.total_battery_blocked(), 0u);
+      const FleetResult sharded = run_with(base, 16, 4);
+      EXPECT_EQ(sharded.num_shards, 16u);
+      expect_identical(reference, sharded);
+    }
+  }
+}
+
+TEST(FleetDeterminism, FullCohortCountsEveryActiveClientOnce) {
+  // At cohort 1.0 every client present after churn is selected, so each one
+  // ends the round as a participant, a dropout or battery-blocked.
+  const device::DeviceModel agx = device::jetson_agx();
+  const device::DeviceModel tx2 = device::jetson_tx2();
+  FleetConfig config = small_config(&agx, &tx2);
+  config.num_clients = 1000;
+  config.rounds = 8;
+  config.cohort_fraction = 1.0;
+  config.scenario = every_selection_process();
+  config.scenario->diurnal = faults::DiurnalSpec{};
+  const FleetResult result = run_with(config, 7, 2);
+  std::uint64_t dropped = 0;
+  for (const FleetRoundStats& round : result.rounds) {
+    SCOPED_TRACE(::testing::Message() << "round " << round.round);
+    EXPECT_GT(round.active_clients, 0u);
+    EXPECT_EQ(round.participants + round.dropped + round.battery_blocked,
+              round.active_clients);
+    dropped += round.dropped;
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(result.total_departed(), 0u);
+  EXPECT_GT(result.total_battery_blocked(), 0u);
 }
 
 }  // namespace

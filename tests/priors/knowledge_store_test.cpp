@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "bo/mbo_engine.hpp"
+
 namespace bofl::priors {
 namespace {
 
@@ -24,6 +26,12 @@ PriorSnapshot snapshot_of(std::vector<SavedObservation> observations) {
   snapshot.t_x_max_s = 0.25;
   snapshot.source_rounds = 10;
   return snapshot;
+}
+
+/// The smallest prior admission grants: bo::kMinProposeObservations rows.
+PriorSnapshot admissible_snapshot() {
+  return snapshot_of(
+      {{5, 4.0, 2.0, 0.5}, {8, 4.0, 1.5, 0.7}, {11, 4.0, 1.2, 0.9}});
 }
 
 const ClusterKey kKey{"agx", "vit"};
@@ -44,7 +52,7 @@ TEST(KnowledgeStore, UnknownClusterDeclinesAndKColdPassesThrough) {
 
 TEST(KnowledgeStore, ConfidenceGatesAdmissionAndDowngradesTrust) {
   KnowledgeStore store;
-  store.contribute(kKey, snapshot_of({{5, 4.0, 2.0, 0.5}}));
+  store.contribute(kKey, admissible_snapshot());
   // No outcomes yet: full confidence, trust granted as requested.
   EXPECT_EQ(store.confidence(kKey), 1.0);
   EXPECT_EQ(store.admit(kKey, PriorPolicy::kTrust).policy,
@@ -213,6 +221,30 @@ TEST(KnowledgeStore, EmptySnapshotNeverAdmits) {
       store.admit(kKey, PriorPolicy::kVerify);
   EXPECT_EQ(admission.snapshot, nullptr);
   EXPECT_EQ(admission.policy, PriorPolicy::kCold);
+}
+
+TEST(KnowledgeStore, PriorTooThinForTheGpNeverAdmits) {
+  // A warm controller can reach Pareto construction on the prior's rows
+  // alone, and propose_batch needs kMinProposeObservations of them: a
+  // thinner prior starts its cluster cold instead of stopping the run.
+  std::vector<SavedObservation> rows = admissible_snapshot().observations;
+  rows.pop_back();
+  ASSERT_EQ(rows.size() + 1, bo::kMinProposeObservations);
+  for (const PriorPolicy policy : {PriorPolicy::kVerify, PriorPolicy::kTrust}) {
+    KnowledgeStore thin;
+    thin.contribute(kKey, snapshot_of(rows));
+    const KnowledgeStore::Admission declined = thin.admit(kKey, policy);
+    EXPECT_EQ(declined.policy, PriorPolicy::kCold);
+    EXPECT_EQ(declined.snapshot, nullptr);
+
+    KnowledgeStore enough;
+    enough.contribute(kKey, admissible_snapshot());
+    const KnowledgeStore::Admission granted = enough.admit(kKey, policy);
+    EXPECT_EQ(granted.policy, policy);
+    ASSERT_NE(granted.snapshot, nullptr);
+    EXPECT_EQ(granted.snapshot->observations.size(),
+              bo::kMinProposeObservations);
+  }
 }
 
 }  // namespace
