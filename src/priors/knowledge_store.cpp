@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "bo/mbo_engine.hpp"
 #include "common/error.hpp"
 #include "pareto/pareto.hpp"
 #include "telemetry/json.hpp"
@@ -103,10 +102,7 @@ KnowledgeStore::Admission KnowledgeStore::admit(const ClusterKey& key,
     return {};
   }
   const auto it = clusters_.find(key);
-  // A prior too thin to fit the GP from would let a warm controller reach
-  // Pareto construction before it can propose; such a cluster starts cold.
-  if (it == clusters_.end() || it->second.snapshot.observations.size() <
-                                   bo::kMinProposeObservations) {
+  if (it == clusters_.end() || !it->second.snapshot.fits_surrogates()) {
     return {};
   }
   const double conf = confidence(key);
