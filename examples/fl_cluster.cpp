@@ -27,7 +27,7 @@ int main() {
   std::printf("fleet: %zu clients, %zu per round, %lld rounds, task=%s\n\n",
               config.num_clients, config.clients_per_round,
               static_cast<long long>(config.rounds),
-              config.profile.name.c_str());
+              device::vit_profile().name.c_str());
 
   fl::FlSimulationResult results[2];
   const core::ControllerKind kinds[2] = {core::ControllerKind::kBofl,

@@ -25,11 +25,6 @@ struct LocalUpdate {
   std::int64_t num_examples = 0;   ///< FedAvg weight
   double mean_loss = 0.0;          ///< mean training loss over the round
   core::RoundTrace pace_trace;     ///< energy/latency record of the round
-  /// Reporting-deadline mode (fl/network.hpp): time the model upload took
-  /// and whether the update reached the server before its reporting
-  /// deadline.  Defaults describe the plain training-deadline mode.
-  Seconds upload_duration{0.0};
-  bool reported_in_time = true;
 };
 
 /// Builds a fresh (identically shaped) model replica.
@@ -50,15 +45,6 @@ class Client {
 
   [[nodiscard]] std::size_t id() const { return id_; }
   [[nodiscard]] std::int64_t num_minibatches() const;
-  [[nodiscard]] const core::PaceController& controller() const {
-    return *controller_;
-  }
-
-  /// Forward a device fault model to the pace controller (src/faults).
-  /// Non-owning; `faults` must outlive the client.
-  void install_fault_model(device::JobFaultModel* faults) {
-    controller_->install_fault_model(faults);
-  }
 
  private:
   std::size_t id_;

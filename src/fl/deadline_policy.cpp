@@ -7,11 +7,8 @@
 namespace bofl::fl {
 
 Seconds cohort_deadline_floor(const std::vector<Seconds>& client_t_min,
-                              const std::vector<std::size_t>& participants,
-                              Seconds per_round_overhead) {
+                              const std::vector<std::size_t>& participants) {
   BOFL_REQUIRE(!participants.empty(), "cohort must have participants");
-  BOFL_REQUIRE(per_round_overhead.value() >= 0.0,
-               "per-round overhead cannot be negative");
   Seconds slowest{0.0};
   for (const std::size_t id : participants) {
     BOFL_REQUIRE(id < client_t_min.size(), "participant id out of range");
@@ -19,26 +16,7 @@ Seconds cohort_deadline_floor(const std::vector<Seconds>& client_t_min,
                  "client T_min must be positive");
     slowest = std::max(slowest, client_t_min[id]);
   }
-  return slowest + per_round_overhead;
-}
-
-Seconds fleet_deadline_floor(const std::vector<Seconds>& client_t_min) {
-  std::vector<std::size_t> everyone(client_t_min.size());
-  for (std::size_t i = 0; i < everyone.size(); ++i) {
-    everyone[i] = i;
-  }
-  return cohort_deadline_floor(client_t_min, everyone);
-}
-
-StaticTimeoutPolicy::StaticTimeoutPolicy(Seconds timeout) : timeout_(timeout) {
-  BOFL_REQUIRE(timeout.value() > 0.0, "timeout must be positive");
-}
-
-Seconds StaticTimeoutPolicy::assign(std::int64_t round,
-                                    Seconds cohort_t_min) {
-  (void)round;
-  (void)cohort_t_min;
-  return timeout_;
+  return slowest;
 }
 
 UniformSlackPolicy::UniformSlackPolicy(double max_over_min_ratio,

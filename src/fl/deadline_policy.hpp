@@ -3,10 +3,8 @@
 // BoFL is deliberately agnostic to how the server picks deadlines: "any
 // deadline assignment algorithm, either strategically designing round
 // deadlines or using a static timeout value, can function well with BoFL".
-// This module provides the three families the paper cites:
+// This module provides two of the families the paper cites:
 //
-//   * StaticTimeoutPolicy  — the vanilla FL design [Bonawitz et al.]: one
-//     fixed timeout for every round.
 //   * UniformSlackPolicy   — the paper's own evaluation protocol (§6.1):
 //     deadlines uniform in [T_min, ratio * T_min] of the selected cohort.
 //   * AdaptiveSlackPolicy  — SmartPC/AutoFL-flavoured: starts with a
@@ -28,20 +26,12 @@
 namespace bofl::fl {
 
 /// Fastest feasible round time of a selected cohort: the slowest selected
-/// participant's T_min plus a fixed per-round overhead (the upload
-/// allowance in reporting-deadline mode, zero otherwise).  This is *the*
-/// feasibility floor every DeadlinePolicy::assign() consumes; the round
-/// loop and the static-timeout setup share it so the check lives in one
-/// place.  Requires a non-empty cohort with positive per-client T_min.
+/// participant's T_min.  This is *the* feasibility floor every
+/// DeadlinePolicy::assign() consumes.  Requires a non-empty cohort with
+/// positive per-client T_min.
 [[nodiscard]] Seconds cohort_deadline_floor(
     const std::vector<Seconds>& client_t_min,
-    const std::vector<std::size_t>& participants,
-    Seconds per_round_overhead = Seconds{0.0});
-
-/// The floor when *every* client could be selected (a cohort of everyone);
-/// what a static timeout — which cannot react per cohort — must cover.
-[[nodiscard]] Seconds fleet_deadline_floor(
-    const std::vector<Seconds>& client_t_min);
+    const std::vector<std::size_t>& participants);
 
 class DeadlinePolicy {
  public:
@@ -56,19 +46,6 @@ class DeadlinePolicy {
   virtual void record_outcome(bool all_met) { (void)all_met; }
 
   [[nodiscard]] virtual const char* name() const = 0;
-};
-
-/// One fixed timeout, whatever the cohort looks like.
-class StaticTimeoutPolicy final : public DeadlinePolicy {
- public:
-  explicit StaticTimeoutPolicy(Seconds timeout);
-
-  [[nodiscard]] Seconds assign(std::int64_t round,
-                               Seconds cohort_t_min) override;
-  [[nodiscard]] const char* name() const override { return "static-timeout"; }
-
- private:
-  Seconds timeout_;
 };
 
 /// Uniform in [T_min, ratio * T_min] — the paper's §6.1 protocol.

@@ -21,7 +21,7 @@ std::size_t FedAvgServer::aggregate(const std::vector<LocalUpdate>& updates) {
   double total_weight = 0.0;
   std::size_t accepted = 0;
   for (const LocalUpdate& update : updates) {
-    if (!update.pace_trace.deadline_met() || !update.reported_in_time) {
+    if (!update.pace_trace.deadline_met()) {
       continue;  // straggler: the server has already moved on
     }
     BOFL_REQUIRE(update.parameters.size() == parameters_.size(),

@@ -26,8 +26,7 @@ class FedAvgServer {
 
   /// FedAvg: parameters <- sum_i w_i * params_i / sum_i w_i,
   /// w_i = num_examples.  Updates from clients that missed their training
-  /// deadline or reported late are dropped (the paper's workflow, Figure 1
-  /// step 3).
+  /// deadline are dropped (the paper's workflow, Figure 1 step 3).
   /// Returns the number of accepted updates.
   std::size_t aggregate(const std::vector<LocalUpdate>& updates);
 

@@ -67,35 +67,4 @@ Dataset make_classification(std::size_t n, std::size_t dim,
   return ds;
 }
 
-Dataset make_sequences(std::size_t n, std::size_t time, std::size_t dim,
-                       std::size_t classes, std::uint64_t seed, double noise) {
-  BOFL_REQUIRE(n > 0 && time > 0 && dim > 0 && classes >= 2,
-               "degenerate dataset shape");
-  Rng rng(seed);
-  Rng proto_rng(0x5E9B0F1ULL + classes * 257 + dim * 17 + time);
-  Dataset ds;
-  ds.features = Tensor({n, time, dim});
-  ds.labels.resize(n);
-  // Class drift directions shared across shards.
-  std::vector<std::vector<float>> drifts(classes, std::vector<float>(dim));
-  for (auto& drift : drifts) {
-    for (float& v : drift) {
-      v = static_cast<float>(proto_rng.normal(0.0, 0.35));
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t label = rng.uniform_index(classes);
-    ds.labels[i] = static_cast<std::int64_t>(label);
-    std::vector<float> state(dim, 0.0f);
-    for (std::size_t t = 0; t < time; ++t) {
-      for (std::size_t d = 0; d < dim; ++d) {
-        state[d] += drifts[label][d] +
-                    static_cast<float>(rng.normal(0.0, noise));
-        ds.features.at(i, t, d) = state[d];
-      }
-    }
-  }
-  return ds;
-}
-
 }  // namespace bofl::nn

@@ -37,10 +37,4 @@ struct Dataset {
                                           double noise = 0.8,
                                           double class_skew = 0.0);
 
-/// Sequence classification: each class has a characteristic drift vector;
-/// a sequence is a random walk with the class drift plus noise.
-[[nodiscard]] Dataset make_sequences(std::size_t n, std::size_t time,
-                                     std::size_t dim, std::size_t classes,
-                                     std::uint64_t seed, double noise = 0.6);
-
 }  // namespace bofl::nn

@@ -98,12 +98,4 @@ Sequential make_mlp_classifier(std::size_t input_features, std::size_t hidden,
   return model;
 }
 
-Sequential make_lstm_classifier(std::size_t input_features, std::size_t hidden,
-                                std::size_t classes, Rng& rng) {
-  Sequential model;
-  model.add(std::make_unique<LstmCell>(input_features, hidden, rng));
-  model.add(std::make_unique<Dense>(hidden, classes, rng));
-  return model;
-}
-
 }  // namespace bofl::nn

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "nn/layers.hpp"
-#include "nn/lstm.hpp"
 
 namespace bofl::nn {
 
@@ -46,10 +45,5 @@ class Sequential {
                                              std::size_t hidden,
                                              std::size_t depth,
                                              std::size_t classes, Rng& rng);
-
-/// Sequence classifier: LSTM over (batch, time, features) -> Dense logits.
-[[nodiscard]] Sequential make_lstm_classifier(std::size_t input_features,
-                                              std::size_t hidden,
-                                              std::size_t classes, Rng& rng);
 
 }  // namespace bofl::nn

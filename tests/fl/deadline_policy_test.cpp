@@ -5,17 +5,6 @@
 namespace bofl::fl {
 namespace {
 
-TEST(StaticTimeout, IgnoresCohortAndRound) {
-  StaticTimeoutPolicy policy(Seconds{42.0});
-  EXPECT_DOUBLE_EQ(policy.assign(0, Seconds{10.0}).value(), 42.0);
-  EXPECT_DOUBLE_EQ(policy.assign(99, Seconds{99.0}).value(), 42.0);
-  EXPECT_STREQ(policy.name(), "static-timeout");
-}
-
-TEST(StaticTimeout, RejectsNonPositive) {
-  EXPECT_THROW(StaticTimeoutPolicy(Seconds{0.0}), std::invalid_argument);
-}
-
 TEST(UniformSlack, StaysWithinBand) {
   UniformSlackPolicy policy(3.0, 7);
   for (int round = 0; round < 500; ++round) {
@@ -53,17 +42,13 @@ TEST(CohortFloor, TracksSlowestParticipantPlusOverhead) {
   const std::vector<Seconds> t_min{Seconds{5.0}, Seconds{9.0}, Seconds{7.0}};
   EXPECT_DOUBLE_EQ(cohort_deadline_floor(t_min, {0, 2}).value(), 7.0);
   EXPECT_DOUBLE_EQ(cohort_deadline_floor(t_min, {1}).value(), 9.0);
-  EXPECT_DOUBLE_EQ(
-      cohort_deadline_floor(t_min, {0, 1, 2}, Seconds{1.5}).value(), 10.5);
-  // The fleet-wide floor is the cohort floor of "everyone".
-  EXPECT_DOUBLE_EQ(fleet_deadline_floor(t_min).value(), 9.0);
+  EXPECT_DOUBLE_EQ(cohort_deadline_floor(t_min, {0, 1, 2}).value(), 9.0);
 }
 
 TEST(CohortFloor, RejectsDegenerateCohorts) {
   const std::vector<Seconds> t_min{Seconds{5.0}};
   EXPECT_THROW((void)cohort_deadline_floor(t_min, {}), std::invalid_argument);
   EXPECT_THROW((void)cohort_deadline_floor({}, {0}), std::invalid_argument);
-  EXPECT_THROW((void)fleet_deadline_floor({}), std::invalid_argument);
 }
 
 TEST(AdaptiveSlack, TightensOnSuccess) {
@@ -128,7 +113,6 @@ TEST(AdaptiveSlack, RejectsBadConfig) {
 
 TEST(Policies, WorkThroughTheInterface) {
   std::vector<std::unique_ptr<DeadlinePolicy>> policies;
-  policies.push_back(std::make_unique<StaticTimeoutPolicy>(Seconds{30.0}));
   policies.push_back(std::make_unique<UniformSlackPolicy>(2.0, 1));
   policies.push_back(std::make_unique<AdaptiveSlackPolicy>());
   for (const auto& policy : policies) {

@@ -51,9 +51,9 @@ TEST(HeterogeneousFleet, DeadlinesTrackCohortComposition) {
        config.minibatch_size) *
       config.epochs;
   const double agx_t_min =
-      agx.round_t_min(config.profile, jobs).value();
+      agx.round_t_min(device::vit_profile(), jobs).value();
   const double tx2_t_min =
-      tx2.round_t_min(config.profile, jobs).value();
+      tx2.round_t_min(device::vit_profile(), jobs).value();
   ASSERT_GT(tx2_t_min, agx_t_min * 1.5);
 
   bool saw_fast_cohort = false;

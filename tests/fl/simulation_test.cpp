@@ -141,5 +141,44 @@ TEST(Simulation, DeterministicBySeed) {
   }
 }
 
+TEST(SteadyStateCache, FlatTablesAreOnAndCountersFlow) {
+  // The default run exercises the flat device tables, the profile-prune
+  // cache and the compiled EHVI front; their telemetry counters must tick.
+  // Every client must reach the exploitation phase — the profile-prune
+  // cache only engages there; front compilations start with Pareto
+  // construction.  A loose deadline_ratio gives each round enough budget to
+  // drain the exploration backlog quickly (at the default 2.0 the per-round
+  // budget only ever fits the phase-1 measurements).
+  FlSimulationConfig config;
+  config.num_clients = 4;
+  config.clients_per_round = 4;
+  config.rounds = 24;
+  config.epochs = 1;
+  config.minibatch_size = 16;
+  config.shard_examples = 128;
+  config.deadline_ratio = 8.0;
+  config.controller = ControllerKind::kBofl;
+  config.seed = 20260806;
+  config.threads = 1;
+  const device::DeviceModel agx = device::jetson_agx();
+  telemetry::Registry registry;
+  telemetry::set_global_registry(&registry);
+  FederatedSimulation sim(agx, config);
+  (void)sim.run();
+  telemetry::set_global_registry(nullptr);
+  const telemetry::RegistrySnapshot snap = registry.snapshot();
+  auto counter_of = [&](const std::string& name) -> std::uint64_t {
+    for (const auto& c : snap.counters) {
+      if (c.name == name) {
+        return c.value;
+      }
+    }
+    return 0;
+  };
+  EXPECT_GT(counter_of("device.flat_table_builds"), 0u);
+  EXPECT_GT(counter_of("bofl.profile_prunes"), 0u);
+  EXPECT_GT(counter_of("ehvi.front_compilations"), 0u);
+}
+
 }  // namespace
 }  // namespace bofl::fl

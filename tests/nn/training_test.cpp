@@ -59,16 +59,6 @@ TEST(Training, MlpLearnsGaussianBlobs) {
   EXPECT_GT(after, 0.8);
 }
 
-TEST(Training, LstmLearnsSequenceClasses) {
-  Rng rng(19);
-  Sequential model = make_lstm_classifier(4, 12, 3, rng);
-  const Dataset train = make_sequences(240, 8, 4, 3, 3003, 0.4);
-  const Dataset test = make_sequences(120, 8, 4, 3, 4004, 0.4);
-
-  (void)train_epochs(model, train, 12, 20, 0.05);
-  EXPECT_GT(eval_accuracy(model, test, 12), 0.7);
-}
-
 TEST(Training, LossDecreasesMonotonicallyOnAverage) {
   Rng rng(23);
   Sequential model = make_mlp_classifier(6, 16, 1, 4, rng);
@@ -173,12 +163,6 @@ TEST(Data, SkewBiasesLabelMarginal) {
   }
   const int max_count = *std::max_element(counts.begin(), counts.end());
   EXPECT_GT(max_count, 300);  // one class clearly dominates
-}
-
-TEST(Data, SequencesHaveRequestedShape) {
-  const Dataset ds = make_sequences(10, 6, 3, 2, 999);
-  EXPECT_EQ(ds.features.shape(), (std::vector<std::size_t>{10, 6, 3}));
-  EXPECT_EQ(ds.labels.size(), 10u);
 }
 
 }  // namespace

@@ -3,12 +3,14 @@
 //   bofl_scenarios [--seed N] [--rounds R] [--out events.jsonl]
 //
 // Runs every named fault scenario (device mode) plus a straggler-heavy
-// fleet run at the given seed, checks the robustness invariants the
-// scenario tests pin at fixed seeds, and exits nonzero on any violation.
+// fleet-engine run at the given seed, checks the robustness invariants the
+// scenario and fleet tests pin at fixed seeds, and exits nonzero on any
+// violation.
 // CI derives --seed from the date, so the sweep walks a fresh slice of the
 // fault space every night while staying reproducible from the logged seed.
 // --out streams the fault events and per-scenario verdicts as JSON Lines
 // (the CI artifact).
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -16,6 +18,7 @@
 #include "common/flags.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/scenarios.hpp"
+#include "fleet/fleet_engine.hpp"
 #include "scenarios/scenario_runner.hpp"
 #include "telemetry/run_recorder.hpp"
 
@@ -87,22 +90,47 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Fleet sweep: stragglers, dropouts and backfill through the server loop
-  // (fault events land in the recorder via the simulation itself).
-  scenarios::FleetScenarioOptions fleet;
+  // Fleet sweep: stragglers, dropouts and deadline jitter through the
+  // fleet engine's round close, with a straggler cutoff of two reference
+  // deadlines.  Device episode windows scale with the simulated horizon:
+  // rounds x (deadline_ratio x the round's minimum time).
+  fleet::FleetConfig fleet;
+  fleet.num_clients = 2000;
+  fleet.cohort_fraction = 0.05;
+  fleet.rounds = 6;
   fleet.seed = seed ^ 0xF1EE7ULL;
-  const fl::FlSimulationResult fl_result =
-      scenarios::run_fleet_scenario("straggler-heavy", fleet);
-  bool fleet_ok = fl_result.rounds.size() == static_cast<std::size_t>(fleet.rounds);
-  for (const fl::FlRoundStats& stats : fl_result.rounds) {
+  fleet.threads = 1;
+  fleet.straggler_timeout = 2.0;
+  const double horizon =
+      static_cast<double>(fleet.rounds) * fleet.deadline_ratio *
+      device::jetson_agx()
+          .round_t_min(device::vit_profile(), fleet.jobs_per_round)
+          .value();
+  fleet.fault_plan =
+      faults::make_scenario("straggler-heavy", fleet.seed ^ 0xFA17ULL, horizon);
+  fleet::FleetEngine engine(fleet);
+  const fleet::FleetResult fleet_result = engine.run();
+  bool fleet_ok =
+      fleet_result.rounds.size() == static_cast<std::size_t>(fleet.rounds);
+  std::uint64_t stragglers = 0;
+  std::uint64_t dropped = 0;
+  for (const fleet::FleetRoundStats& stats : fleet_result.rounds) {
+    stragglers += stats.stragglers;
+    dropped += stats.dropped;
+    const auto cutoff_us = static_cast<std::uint64_t>(
+        std::llround(fleet.straggler_timeout *
+                     static_cast<double>(stats.deadline_ref_us)));
     fleet_ok = fleet_ok && stats.participants > 0 &&
-               stats.accepted <= stats.participants &&
-               stats.round_wall.value() <=
-                   fleet.straggler_timeout * stats.deadline.value() + 1e-9;
+               stats.missed <= stats.participants &&
+               stats.timed_out <= stats.participants &&
+               stats.wall_us <= cutoff_us;
   }
   failures += fleet_ok ? 0 : 1;
-  std::printf("%-20s %-4s accuracy=%.3f\n", "fleet:straggler",
-              fleet_ok ? "ok" : "FAIL", fl_result.final_accuracy());
+  std::printf("%-20s %-4s stragglers=%llu dropped=%llu timeout_rate=%.3f\n",
+              "fleet:straggler", fleet_ok ? "ok" : "FAIL",
+              static_cast<unsigned long long>(stragglers),
+              static_cast<unsigned long long>(dropped),
+              fleet_result.timeout_rate());
 
   if (recorder) {
     recorder->emit_summary();

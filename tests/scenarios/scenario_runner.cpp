@@ -193,33 +193,4 @@ std::vector<std::string> sweep_scenario_names() {
   return names;
 }
 
-fl::FlSimulationResult run_fleet_scenario(const std::string& name,
-                                          const FleetScenarioOptions& opts) {
-  static const device::DeviceModel model = device::jetson_agx();
-
-  fl::FlSimulationConfig config;
-  config.num_clients = opts.num_clients;
-  config.clients_per_round = opts.clients_per_round;
-  config.rounds = opts.rounds;
-  config.shard_examples = 64;
-  config.seed = opts.seed;
-  config.threads = opts.threads;
-  config.straggler_timeout = opts.straggler_timeout;
-  config.backfill_dropouts = opts.backfill_dropouts;
-
-  // Device episode windows scale with the per-client simulated horizon:
-  // rounds x (deadline_ratio x the round's minimum time).
-  const std::int64_t jobs =
-      config.epochs * static_cast<std::int64_t>(config.shard_examples) /
-      config.minibatch_size;
-  const double horizon =
-      static_cast<double>(config.rounds) * config.deadline_ratio *
-      model.round_t_min(config.profile, jobs).value();
-  config.fault_plan =
-      faults::make_scenario(name, opts.seed ^ 0xFA17ULL, horizon);
-
-  fl::FederatedSimulation sim(model, config);
-  return sim.run();
-}
-
 }  // namespace bofl::scenarios

@@ -1,22 +1,21 @@
-// ScenarioRunner: run the full BoFL stack under a fault plan and collect
+// ScenarioRunner: run one BoflController under a fault plan and collect
 // everything the robustness invariants are judged on.
 //
-// Two modes mirror the repo's two integration layers:
-//   * Device mode drives one BoflController through a round schedule (the
-//     core harness path used by bofl_sim and the paper's §6 single-device
-//     experiments), with a DeviceFaultChannel installed on its observer.
-//     Each round records a pessimistic feasibility verdict computed BEFORE
-//     the round runs (Eqn. 2 with the worst fault effect the window can
-//     contain) plus the observed Pareto front's hypervolume against a
-//     fixed reference — the raw material for the two core invariants:
-//       - no round that was pessimistically feasible at its start may miss
-//         its deadline, and
-//       - hypervolume is non-decreasing round over round (observations
-//         only accumulate; a fixed reference keeps the areas comparable).
-//   * Fleet mode runs a small FederatedSimulation with the plan attached
-//     (stragglers, dropouts, deadline jitter flow through the server loop).
+// It drives the controller through a round schedule (the core harness path
+// used by bofl_sim and the paper's §6 single-device experiments), with a
+// DeviceFaultChannel installed on its observer.  Each round records a
+// pessimistic feasibility verdict computed BEFORE the round runs (Eqn. 2
+// with the worst fault effect the window can contain) plus the observed
+// Pareto front's hypervolume against a fixed reference — the raw material
+// for the two core invariants:
+//   - no round that was pessimistically feasible at its start may miss its
+//     deadline, and
+//   - hypervolume is non-decreasing round over round (observations only
+//     accumulate; a fixed reference keeps the areas comparable).
+// FL-level faults (stragglers, dropouts, deadline jitter) run through the
+// fleet engine; fleet_scenario_runner.hpp covers fleet populations.
 //
-// Lives under tests/ because it links core + fl + faults together; the
+// Lives under tests/ because it links core + priors + faults together; the
 // production libraries stay acyclic.
 #pragma once
 
@@ -28,7 +27,6 @@
 #include "core/trace.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
-#include "fl/simulation.hpp"
 #include "priors/prior_policy.hpp"
 #include "priors/snapshot.hpp"
 
@@ -101,20 +99,5 @@ struct DeviceScenarioResult {
 /// The scenarios of the generic sweep: every entry of faults::all_scenarios()
 /// not marked hidden, in catalog order ("clean" first).
 [[nodiscard]] std::vector<std::string> sweep_scenario_names();
-
-struct FleetScenarioOptions {
-  std::size_t num_clients = 8;
-  std::size_t clients_per_round = 3;
-  std::int64_t rounds = 6;
-  std::uint64_t seed = 7;
-  std::size_t threads = 1;
-  double straggler_timeout = 2.0;  ///< 0 = wait for every report
-  bool backfill_dropouts = true;
-};
-
-/// Run a small fleet under the named scenario.  Deterministic in
-/// (name, opts) for any thread count.
-[[nodiscard]] fl::FlSimulationResult run_fleet_scenario(
-    const std::string& name, const FleetScenarioOptions& opts);
 
 }  // namespace bofl::scenarios

@@ -121,43 +121,5 @@ TEST(Scenario, DifferentSeedsDecorrelateFaultStreams) {
   EXPECT_NE(a.events, b.events);
 }
 
-TEST(FleetScenario, StragglerHeavyCompletesWithBoundedRounds) {
-  FleetScenarioOptions opts;
-  const fl::FlSimulationResult result =
-      run_fleet_scenario("straggler-heavy", opts);
-  ASSERT_EQ(result.rounds.size(), static_cast<std::size_t>(opts.rounds));
-  for (const fl::FlRoundStats& stats : result.rounds) {
-    EXPECT_GT(stats.participants, 0u);
-    EXPECT_LE(stats.accepted, stats.participants);
-    // A configured straggler timeout bounds the server's wall time.
-    EXPECT_LE(stats.round_wall.value(),
-              opts.straggler_timeout * stats.deadline.value() + 1e-9);
-  }
-}
-
-TEST(FleetScenario, FaultedRunIsThreadCountInvariant) {
-  FleetScenarioOptions opts;
-  opts.threads = 1;
-  const fl::FlSimulationResult serial =
-      run_fleet_scenario("straggler-heavy", opts);
-  opts.threads = 4;
-  const fl::FlSimulationResult parallel =
-      run_fleet_scenario("straggler-heavy", opts);
-  ASSERT_EQ(serial.rounds.size(), parallel.rounds.size());
-  for (std::size_t i = 0; i < serial.rounds.size(); ++i) {
-    const fl::FlRoundStats& a = serial.rounds[i];
-    const fl::FlRoundStats& b = parallel.rounds[i];
-    EXPECT_EQ(a.global_loss, b.global_loss);
-    EXPECT_EQ(a.global_accuracy, b.global_accuracy);
-    EXPECT_EQ(a.energy.value(), b.energy.value());
-    EXPECT_EQ(a.participants, b.participants);
-    EXPECT_EQ(a.accepted, b.accepted);
-    EXPECT_EQ(a.backfilled, b.backfilled);
-    EXPECT_EQ(a.timed_out, b.timed_out);
-    EXPECT_EQ(a.round_wall.value(), b.round_wall.value());
-    EXPECT_EQ(a.deadline.value(), b.deadline.value());
-  }
-}
-
 }  // namespace
 }  // namespace bofl::scenarios
