@@ -68,7 +68,7 @@ class GaussianProcess {
   [[nodiscard]] Prediction predict(const linalg::Vector& x) const;
 
   /// Posterior predictive at a point whose cross-covariance vector against
-  /// inputs() the caller already holds (k_star[i] = kernel()(x, inputs()[i])).
+  /// inputs() the caller already holds (k_star = kernel().cross(x, inputs())).
   /// Lets callers that cache cross-covariances (bo::MboEngine) skip the
   /// kernel evaluations predict() would redo.
   [[nodiscard]] Prediction predict_from_cross(

@@ -52,21 +52,6 @@ Kernel::Kernel(KernelFamily family, double signal_variance,
   }
 }
 
-double Kernel::operator()(const linalg::Vector& a,
-                          const linalg::Vector& b) const {
-  BOFL_REQUIRE(a.size() == lengthscales_.size() && b.size() == a.size(),
-               "kernel input dimension mismatch");
-  // Routed through the dispatched row kernel (count = 1) so that a single
-  // pairwise evaluation is bit-identical to the same pair inside a
-  // gram/cross batch, at every dispatch level.
-  double out = 0.0;
-  const double* pt = b.data();
-  linalg::simd::corr_row(to_corr(family_), a.data(), &pt, 1,
-                         lengthscales_.data(), lengthscales_.size(),
-                         signal_variance_, &out);
-  return out;
-}
-
 linalg::Matrix Kernel::gram(const std::vector<linalg::Vector>& points,
                             runtime::ThreadPool* pool) const {
   const std::size_t n = points.size();
@@ -113,10 +98,15 @@ linalg::Vector Kernel::cross(const linalg::Vector& x,
     ptrs[i] = points[i].data();
   }
   linalg::Vector k(points.size());
-  linalg::simd::corr_row(to_corr(family_), x.data(), ptrs.data(), ptrs.size(),
-                         lengthscales_.data(), dim, signal_variance_,
-                         k.data());
+  cross(x.data(), ptrs.data(), ptrs.size(), k.data());
   return k;
+}
+
+void Kernel::cross(const double* x, const double* const* points,
+                   std::size_t count, double* out) const {
+  linalg::simd::corr_row(to_corr(family_), x, points, count,
+                         lengthscales_.data(), lengthscales_.size(),
+                         signal_variance_, out);
 }
 
 }  // namespace bofl::gp

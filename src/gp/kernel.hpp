@@ -47,10 +47,6 @@ class Kernel {
     return lengthscales_.size();
   }
 
-  /// Covariance between two points.
-  [[nodiscard]] double operator()(const linalg::Vector& a,
-                                  const linalg::Vector& b) const;
-
   /// Full covariance matrix of a point set (symmetric).  Large builds
   /// (n >= 48) fan their rows out over `pool` when one is given; every
   /// entry is written to its own slot, so the result is identical for any
@@ -58,9 +54,17 @@ class Kernel {
   [[nodiscard]] linalg::Matrix gram(const std::vector<linalg::Vector>& points,
                                     runtime::ThreadPool* pool = nullptr) const;
 
-  /// Cross-covariance vector k(x, X) against a point set.
+  /// Cross-covariance vector k(x, X) against a point set.  Entry i depends
+  /// only on x and points[i], never on i or the set's size, and k is
+  /// symmetric bit for bit: cross(x, P)[i] == cross(P[i], {x})[0].
   [[nodiscard]] linalg::Vector cross(
       const linalg::Vector& x, const std::vector<linalg::Vector>& points) const;
+
+  /// The same row written to out[0..count), for a caller that keeps the
+  /// points' data pointers across calls.  `x` and every point hold
+  /// input_dimension() values.
+  void cross(const double* x, const double* const* points, std::size_t count,
+             double* out) const;
 
  private:
   KernelFamily family_;

@@ -82,8 +82,8 @@ void sumsq_rows_accumulate_avx2(const double* v, std::size_t rows,
 // core — the fast_normal recipe), accurate to a few ulp of libm; inputs
 // past the libm-denormal range flush to the same 0.0.  Remainder points are
 // padded into a full vector, so out[j] depends only on x and pts[j] — never
-// on j's position in the batch — which keeps Kernel::cross bit-equal to
-// pointwise Kernel::operator() evaluation at every dispatch level.
+// on j's position in the batch — which keeps a Kernel::cross row bit-equal
+// to one-point rows of the same pairs at every dispatch level.
 
 enum class Corr : int { kMatern52 = 0, kMatern32 = 1, kRbf = 2 };
 

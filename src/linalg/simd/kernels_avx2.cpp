@@ -241,8 +241,8 @@ void corr_row_avx2(Corr family, const double* x, const double* const* pts,
   while (j < count) {
     // Remainder points are padded with the last point so every element
     // takes the identical vector code path: corr_row results are
-    // position-independent, which keeps Kernel::cross bit-equal to
-    // pointwise Kernel::operator() evaluation at every dispatch level.
+    // position-independent, which keeps a Kernel::cross row bit-equal to
+    // one-point rows of the same pairs at every dispatch level.
     const std::size_t rem = count - j;
     const double* p0 = pts[j];
     const double* p1 = pts[rem > 1 ? j + 1 : j];

@@ -268,8 +268,8 @@ TEST(SimdCorrRow, UnderflowRangeFlushesLikeLibm) {
 TEST(SimdCorrRow, OutputIsPositionIndependent) {
   SKIP_WITHOUT_AVX2();
   // Remainder padding means out[j] never depends on where j sits in the
-  // batch — the property that keeps Kernel::cross bit-equal to pointwise
-  // Kernel::operator() calls.
+  // batch — the property that keeps a Kernel::cross row bit-equal to
+  // one-point rows of the same pairs.
   Rng rng(9);
   const std::size_t dim = 3;
   const std::size_t count = 7;  // exercises the padded 3-lane remainder
