@@ -12,7 +12,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
+#include <string>
 
 #include "device/device_model.hpp"
 #include "device/workload.hpp"
@@ -20,6 +24,7 @@
 #include "faults/scenarios.hpp"
 #include "fleet/fleet_engine.hpp"
 #include "linalg/simd/dispatch.hpp"
+#include "priors/knowledge_store.hpp"
 
 namespace bofl::fleet {
 namespace {
@@ -50,6 +55,14 @@ constexpr std::uint64_t kGoldenBatteryTraceHash = 0xe441951ac7b3688dULL;
 /// day/night wave, so each round draws its cohort against a different
 /// threshold.
 constexpr std::uint64_t kGoldenDiurnalTraceHash = 0x422914f7972f8301ULL;
+/// The same fleet's second generation, at scalar level: generation 1 runs
+/// cold for 40 rounds and publishes into an empty store, generation 2 starts
+/// from that store under kVerify.
+/// The trace pins the warm-start path (admission, seeding, verification
+/// pass); the store hash pins the bytes generation 2 saves (merged
+/// observations, confidence counters, GP fits).
+constexpr std::uint64_t kGoldenWarmGen2TraceHash = 0xa053539e0873ed79ULL;
+constexpr std::uint64_t kGoldenWarmGen2StoreHash = 0x0ef29a7915566f0aULL;
 
 /// Pins the dispatch level for the test body and restores the ambient level
 /// on exit, so ordering against other tests in this binary doesn't matter.
@@ -65,13 +78,10 @@ class ScopedSimdLevel {
   linalg::simd::Level previous_;
 };
 
-FleetResult run_small_fleet(
-    core::ControllerKind controller = core::ControllerKind::kBofl,
-    std::optional<faults::FaultPlan> fault_plan = std::nullopt,
-    double straggler_timeout = 0.0,
-    std::optional<faults::FleetScenario> scenario = std::nullopt) {
-  const device::DeviceModel agx = device::jetson_agx();
-  const device::DeviceModel tx2 = device::jetson_tx2();
+/// The small_config fleet from fleet_determinism_test.cpp.
+FleetConfig small_fleet_config() {
+  static const device::DeviceModel agx = device::jetson_agx();
+  static const device::DeviceModel tx2 = device::jetson_tx2();
   FleetConfig config;
   config.num_clients = 3000;
   config.rounds = 6;
@@ -81,12 +91,31 @@ FleetResult run_small_fleet(
   config.clusters.push_back({&tx2, device::lstm_profile(), 0.3});
   config.shards = 4;
   config.threads = 4;
+  return config;
+}
+
+FleetResult run_small_fleet(
+    core::ControllerKind controller = core::ControllerKind::kBofl,
+    std::optional<faults::FaultPlan> fault_plan = std::nullopt,
+    double straggler_timeout = 0.0,
+    std::optional<faults::FleetScenario> scenario = std::nullopt) {
+  FleetConfig config = small_fleet_config();
   config.controller = controller;
   config.fault_plan = std::move(fault_plan);
   config.straggler_timeout = straggler_timeout;
   config.scenario = std::move(scenario);
   FleetEngine engine(std::move(config));
   return engine.run();
+}
+
+/// FNV-1a over a byte string.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 TEST(FleetGoldenHash, ScalarLevelReproducesCommittedTraceHash) {
@@ -186,6 +215,46 @@ TEST(FleetGoldenHash, DiurnalScenarioReproducesCommittedTraceHash) {
          "not move";
   EXPECT_EQ(result.trace_hash, kGoldenDiurnalTraceHash)
       << "actual hash 0x" << std::hex << result.trace_hash;
+}
+
+TEST(FleetGoldenHash, WarmGenerationTwoReproducesCommittedTraceHash) {
+  // The saved GP fits carry kernel-level doubles, so the store bytes are
+  // pinned at the scalar level.
+  ScopedSimdLevel scalar(linalg::simd::Level::kScalar);
+  // Generation 1: kVerify against an empty store declines admission, so the
+  // run is the cold golden fleet, run for 40 rounds so both clusters reach
+  // exploitation; it publishes every cluster into the store.
+  priors::KnowledgeStore store;
+  FleetConfig config = small_fleet_config();
+  config.rounds = 40;
+  config.knowledge = &store;
+  config.prior_policy = priors::PriorPolicy::kVerify;
+  const FleetResult gen1 = FleetEngine(config).run();
+  EXPECT_EQ(gen1.warm_clusters, 0u);
+  ASSERT_EQ(store.num_clusters(), 2u) << "generation 1 published no prior";
+
+  const FleetResult gen2 = FleetEngine(config).run();
+  EXPECT_GT(gen2.warm_clusters, 0u) << "no cluster started from the prior";
+  std::uint64_t verified = 0;
+  for (const auto& [key, cluster] : store.clusters()) {
+    verified += cluster.verified;
+  }
+  EXPECT_GT(verified, 0u) << "no verification pass confirmed its prior";
+  EXPECT_EQ(gen2.trace_hash, kGoldenWarmGen2TraceHash)
+      << "actual hash 0x" << std::hex << gen2.trace_hash;
+
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) /
+      "fleet_golden_warm_gen2_store.json";
+  store.save(path.string());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  in.close();
+  std::filesystem::remove(path);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(fnv1a(bytes), kGoldenWarmGen2StoreHash)
+      << "actual hash 0x" << std::hex << fnv1a(bytes);
 }
 
 }  // namespace
