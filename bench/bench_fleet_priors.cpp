@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   // Stage 3: serialization round-trip.
   const std::string json = store.to_json();
   const priors::KnowledgeStore reloaded =
-      priors::KnowledgeStore::from_json(json, store.options());
+      priors::KnowledgeStore::from_json(json);
   const bool roundtrip_stable = reloaded.to_json() == json;
 
   // Stage 4: generation 2 — fresh fleet, warm from the reloaded store.

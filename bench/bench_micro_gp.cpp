@@ -75,8 +75,9 @@ void BM_GpHyperparameterFit(benchmark::State& state) {
     gp::HyperoptOptions options;
     options.num_restarts = 2;
     options.max_iterations_per_start = 100;
-    benchmark::DoNotOptimize(gp::fit_hyperparameters(
-        gp::KernelFamily::kMatern52, xs, ys, rng, options));
+    const gp::HyperoptProblem problem{gp::KernelFamily::kMatern52, xs, ys};
+    benchmark::DoNotOptimize(
+        gp::fit_hyperparameters({&problem, 1}, rng, options));
   }
 }
 BENCHMARK(BM_GpHyperparameterFit)->Arg(20)->Arg(50)->Unit(benchmark::kMillisecond);

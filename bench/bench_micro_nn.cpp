@@ -5,7 +5,6 @@
 
 #include "nn/data.hpp"
 #include "nn/loss.hpp"
-#include "nn/lstm.hpp"
 #include "nn/model.hpp"
 #include "nn/sgd.hpp"
 
@@ -27,20 +26,6 @@ void BM_DenseForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseForwardBackward)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_LstmForwardBackward(benchmark::State& state) {
-  Rng rng(3);
-  LstmCell lstm(8, 32, rng);
-  const auto time = static_cast<std::size_t>(state.range(0));
-  const Tensor x = Tensor::randn({16, time, 8}, rng, 1.0f);
-  const Tensor g = Tensor::randn({16, 32}, rng, 1.0f);
-  for (auto _ : state) {
-    lstm.zero_gradients();
-    benchmark::DoNotOptimize(lstm.forward(x));
-    benchmark::DoNotOptimize(lstm.backward(g));
-  }
-}
-BENCHMARK(BM_LstmForwardBackward)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 void BM_FullTrainingStepMlp(benchmark::State& state) {
   Rng rng(4);

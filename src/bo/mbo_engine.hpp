@@ -52,13 +52,6 @@ struct MboOptions {
   /// kernel (CompiledFront kFast, ~3e-9 relative error).  Differential
   /// tests pin the two modes against each other.
   bool exact_ehvi = false;
-  /// Hyperparameter-fit cadence.  Every Nth propose_batch runs the full
-  /// multi-restart marginal-likelihood search; the fits in between are
-  /// warm-started from the previous optimum (a short local polish, an order
-  /// of magnitude fewer LML evaluations).  The optimum drifts slowly as
-  /// observations accumulate, so the polish tracks it; the periodic full
-  /// search bounds any drift.  0 = always run the full search.
-  std::size_t hyperopt_refresh_period = 5;
   gp::HyperoptOptions hyperopt;
 };
 
@@ -173,7 +166,7 @@ class MboEngine {
   std::optional<pareto::Point2> reference_;
   std::optional<double> last_best_ehvi_;
   /// Warm-start state for the per-objective hyperparameter fits: the last
-  /// optima and how many fits have run (drives hyperopt_refresh_period).
+  /// optima and how many fits have run (every fifth fit is a full search).
   std::optional<gp::HyperoptResult> warm_fit1_;
   std::optional<gp::HyperoptResult> warm_fit2_;
   std::size_t hyperopt_fits_ = 0;

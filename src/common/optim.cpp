@@ -10,6 +10,10 @@ namespace bofl {
 
 namespace {
 
+// Convergence: the simplex function-value spread and diameter both below.
+constexpr double kFTolerance = 1e-9;
+constexpr double kXTolerance = 1e-7;
+
 struct Vertex {
   std::vector<double> x;
   double f;
@@ -70,7 +74,7 @@ NelderMeadResult nelder_mead(
       }
       diameter = std::max(diameter, hi - lo);
     }
-    if (f_spread < options.f_tolerance && diameter < options.x_tolerance) {
+    if (f_spread < kFTolerance && diameter < kXTolerance) {
       result.converged = true;
       break;
     }

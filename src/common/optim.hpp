@@ -13,10 +13,6 @@ namespace bofl {
 
 struct NelderMeadOptions {
   std::size_t max_iterations = 400;
-  /// Convergence: stop when the simplex function-value spread and the
-  /// simplex diameter both fall below these tolerances.
-  double f_tolerance = 1e-9;
-  double x_tolerance = 1e-7;
   /// Initial simplex edge length (per coordinate, relative step with an
   /// absolute floor).
   double initial_step = 0.25;
@@ -31,7 +27,9 @@ struct NelderMeadResult {
 };
 
 /// Minimize `f` starting from `x0` with the Nelder–Mead simplex method
-/// (standard reflection/expansion/contraction/shrink coefficients).
+/// (standard reflection/expansion/contraction/shrink coefficients).  Stops
+/// after `max_iterations`, or converged once the simplex function-value
+/// spread falls below 1e-9 and its diameter below 1e-7.
 [[nodiscard]] NelderMeadResult nelder_mead(
     const std::function<double(const std::vector<double>&)>& f,
     const std::vector<double>& x0, const NelderMeadOptions& options = {});

@@ -494,12 +494,16 @@ void BoflController::import_state(
     }
   }
   ++profiles_version_;
-  if (!t_x_max_) {
-    // Without the guardian anchor, exploration must restart from scratch —
-    // keep the sampled phase-1 plan as is.
+  if (!t_x_max_ || engine_.num_observations() < bo::kMinProposeObservations) {
+    // Without the guardian anchor, or with too few observations to fit the
+    // surrogates from, resume in phase 1: the imported configs count as
+    // measured starting points, and the rest of the sampled plan runs.
+    std::erase_if(pending_, [&](std::size_t flat) {
+      return aggregates_.contains(flat);
+    });
     return;
   }
-  // x_max is known: skip phase 1 (its job was the initial uniform sample).
+  // The surrogates can be fit: skip phase 1 (the initial uniform sample).
   pending_.clear();
   engine_.set_reference(engine_.reference());
   hv_prev_ = engine_.observed_hypervolume();
@@ -512,9 +516,11 @@ void BoflController::apply_prior(const PriorSeed& seed,
   BOFL_REQUIRE(aggregates_.empty() && prior_overlay_.empty() &&
                    phase_ == Phase::kSafeRandomExploration && !t_x_max_,
                "apply_prior requires a fresh controller");
-  if (policy == priors::PriorPolicy::kCold || seed.observations.empty()) {
-    // Differential guarantee: a kCold (or empty) seeding leaves the
-    // controller bit-identical to one never offered a prior.
+  if (policy == priors::PriorPolicy::kCold || seed.observations.empty() ||
+      (policy == priors::PriorPolicy::kVerify &&
+       seed.observations.size() < bo::kMinProposeObservations)) {
+    // Differential guarantee: a declined seeding leaves the controller
+    // bit-identical to one never offered a prior.
     return;
   }
   if (policy == priors::PriorPolicy::kTrust) {

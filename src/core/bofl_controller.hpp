@@ -122,10 +122,13 @@ class BoflController final : public PaceController {
   [[nodiscard]] std::vector<SavedObservation> export_state() const;
 
   /// Seed a *fresh* controller (no rounds run yet) with previously saved
-  /// aggregates.  If x_max is among them the exploration phases are
+  /// aggregates.  If x_max is among them and they hold at least
+  /// bo::kMinProposeObservations observations, the exploration phases are
   /// resumed where they left off: straight to exploitation when the saved
   /// coverage already satisfies the stopping rule's exploration floor,
-  /// otherwise to Pareto construction.  Throws if any round already ran.
+  /// otherwise to Pareto construction.  Any other state resumes in phase 1,
+  /// whose plan skips the configs already measured.  Throws if any round
+  /// already ran.
   void import_state(const std::vector<SavedObservation>& saved);
 
   // --- Cluster-prior warm start (the src/priors knowledge plane). ---------
@@ -153,14 +156,16 @@ class BoflController final : public PaceController {
   };
 
   /// Seed a *fresh* controller from a cluster prior under `policy`.
-  /// kCold (or an empty seed) is a guaranteed no-op: the controller stays
-  /// bit-identical to one never offered a prior.  kVerify overlays the
-  /// believed profiles and collapses phase 1 to x_max plus the seed's
-  /// verification ids; the Eqn. 2 guardian stays authoritative — a reading
-  /// off by more than the drift demotion ratio (1.25) from the believed
-  /// profile arms the drift guard immediately and demotes back to cold
-  /// start at the round boundary.  kTrust imports the observations as if
-  /// locally measured.
+  /// kCold, an empty seed, or a kVerify seed of fewer than
+  /// bo::kMinProposeObservations observations (too few to fit the
+  /// surrogates from) is declined: prior_state() stays kNone and the
+  /// controller bit-identical to one never offered a prior.  kVerify
+  /// overlays the believed profiles and collapses phase 1 to x_max plus the
+  /// seed's verification ids; the Eqn. 2 guardian stays authoritative — a
+  /// reading off by more than the drift demotion ratio (1.25) from the
+  /// believed profile arms the drift guard immediately and demotes back to
+  /// cold start at the round boundary.  kTrust imports the observations as
+  /// if locally measured (import_state).
   void apply_prior(const PriorSeed& seed, priors::PriorPolicy policy);
 
   [[nodiscard]] PriorState prior_state() const { return prior_state_; }

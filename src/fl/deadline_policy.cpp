@@ -6,6 +6,22 @@
 
 namespace bofl::fl {
 
+namespace {
+
+// AdaptiveSlackPolicy's schedule.
+constexpr double kInitialSlack = 3.0;
+constexpr double kMinSlack = 1.2;
+constexpr double kMaxSlack = 4.0;
+constexpr double kTighten = 0.97;  ///< multiplier after an all-met round
+constexpr double kBackoff = 1.3;   ///< multiplier after a missed round
+static_assert(kMinSlack >= 1.0, "min slack must be >= 1");
+static_assert(kMinSlack <= kInitialSlack && kInitialSlack <= kMaxSlack,
+              "need min slack <= initial slack <= max slack");
+static_assert(kTighten > 0.0 && kTighten < 1.0, "tighten must be in (0, 1)");
+static_assert(kBackoff > 1.0, "backoff must be > 1");
+
+}  // namespace
+
 Seconds cohort_deadline_floor(const std::vector<Seconds>& client_t_min,
                               const std::vector<std::size_t>& participants) {
   BOFL_REQUIRE(!participants.empty(), "cohort must have participants");
@@ -32,18 +48,7 @@ Seconds UniformSlackPolicy::assign(std::int64_t round, Seconds cohort_t_min) {
       rng_.uniform(cohort_t_min.value(), cohort_t_min.value() * ratio_)};
 }
 
-AdaptiveSlackPolicy::AdaptiveSlackPolicy() : AdaptiveSlackPolicy(Config{}) {}
-
-AdaptiveSlackPolicy::AdaptiveSlackPolicy(Config config)
-    : config_(config), slack_(config.initial_slack) {
-  BOFL_REQUIRE(config.min_slack >= 1.0, "min slack must be >= 1");
-  BOFL_REQUIRE(config.min_slack <= config.initial_slack &&
-                   config.initial_slack <= config.max_slack,
-               "need min_slack <= initial_slack <= max_slack");
-  BOFL_REQUIRE(config.tighten > 0.0 && config.tighten < 1.0,
-               "tighten must be in (0, 1)");
-  BOFL_REQUIRE(config.backoff > 1.0, "backoff must be > 1");
-}
+AdaptiveSlackPolicy::AdaptiveSlackPolicy() : slack_(kInitialSlack) {}
 
 Seconds AdaptiveSlackPolicy::assign(std::int64_t round, Seconds cohort_t_min) {
   (void)round;
@@ -52,8 +57,8 @@ Seconds AdaptiveSlackPolicy::assign(std::int64_t round, Seconds cohort_t_min) {
 }
 
 void AdaptiveSlackPolicy::record_outcome(bool all_met) {
-  slack_ = all_met ? slack_ * config_.tighten : slack_ * config_.backoff;
-  slack_ = std::clamp(slack_, config_.min_slack, config_.max_slack);
+  slack_ = all_met ? slack_ * kTighten : slack_ * kBackoff;
+  slack_ = std::clamp(slack_, kMinSlack, kMaxSlack);
 }
 
 }  // namespace bofl::fl

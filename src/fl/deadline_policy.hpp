@@ -63,20 +63,11 @@ class UniformSlackPolicy final : public DeadlinePolicy {
 };
 
 /// Multiplicative-decrease slack: deadline = slack * cohort_t_min, with
-/// slack tightened by `tighten` after each fully-successful round and
-/// relaxed by `backoff` after any miss, clamped to [min_slack, max_slack].
+/// slack starting at 3, tightened by 0.97 after each fully-successful round
+/// and relaxed by 1.3 after any miss, clamped to [1.2, 4].
 class AdaptiveSlackPolicy final : public DeadlinePolicy {
  public:
-  struct Config {
-    double initial_slack = 3.0;
-    double min_slack = 1.2;
-    double max_slack = 4.0;
-    double tighten = 0.97;  ///< multiplier after an all-met round
-    double backoff = 1.3;   ///< multiplier after a missed round
-  };
-
-  AdaptiveSlackPolicy();  // default Config
-  explicit AdaptiveSlackPolicy(Config config);
+  AdaptiveSlackPolicy();
 
   [[nodiscard]] Seconds assign(std::int64_t round,
                                Seconds cohort_t_min) override;
@@ -86,7 +77,6 @@ class AdaptiveSlackPolicy final : public DeadlinePolicy {
   [[nodiscard]] double current_slack() const { return slack_; }
 
  private:
-  Config config_;
   double slack_;
 };
 

@@ -19,8 +19,10 @@ namespace {
 /// cheaper than a full search at typical phase-2 data sizes.
 constexpr std::size_t kWarmStartMaxIterations = 60;
 constexpr double kWarmStartStep = 0.05;
-// Log-space box bounds on the variances (applied by clamping inside the
-// objective; targets are standardized, so these are scale-free).
+// Box bounds (applied by clamping inside the objective; inputs are
+// normalized and targets standardized, so these are scale-free).
+constexpr double kMinLengthscale = 0.02;
+constexpr double kMaxLengthscale = 10.0;
 constexpr double kMinSignalVariance = 1e-4;
 constexpr double kMaxSignalVariance = 1e2;
 constexpr double kMinNoiseVariance = 1e-8;
@@ -29,7 +31,6 @@ constexpr double kMaxNoiseVariance = 1.0;
 /// Parameter vector layout: [log ls_0 .. log ls_{d-1}, log sv, log nv].
 struct ParamCodec {
   std::size_t dim;
-  const HyperoptOptions& opts;
 
   [[nodiscard]] std::size_t size() const { return dim + 2; }
 
@@ -37,8 +38,8 @@ struct ParamCodec {
                                      const std::vector<double>& p) const {
     std::vector<double> lengthscales(dim);
     for (std::size_t i = 0; i < dim; ++i) {
-      lengthscales[i] = std::clamp(std::exp(p[i]), opts.min_lengthscale,
-                                   opts.max_lengthscale);
+      lengthscales[i] =
+          std::clamp(std::exp(p[i]), kMinLengthscale, kMaxLengthscale);
     }
     const double sv =
         std::clamp(std::exp(p[dim]), kMinSignalVariance, kMaxSignalVariance);
@@ -88,7 +89,7 @@ std::vector<HyperoptResult> fit_hyperparameters(
     BOFL_REQUIRE(problem.inputs.size() == problem.targets.size(),
                  "inputs and targets must have equal length");
     const std::size_t dim = problem.inputs.front().size();
-    const ParamCodec& codec = codecs.emplace_back(ParamCodec{dim, options});
+    const ParamCodec& codec = codecs.emplace_back(ParamCodec{dim});
     if (problem.warm_start != nullptr) {
       BOFL_REQUIRE(problem.warm_start->kernel.family() == problem.family &&
                        problem.warm_start->kernel.lengthscales().size() == dim,
@@ -107,8 +108,8 @@ std::vector<HyperoptResult> fit_hyperparameters(
         start[dim + 1] = std::log(1e-3);
       } else {
         for (std::size_t i = 0; i < dim; ++i) {
-          start[i] = rng.uniform(std::log(options.min_lengthscale),
-                                 std::log(options.max_lengthscale));
+          start[i] = rng.uniform(std::log(kMinLengthscale),
+                                 std::log(kMaxLengthscale));
         }
         start[dim] = rng.uniform(-1.5, 1.5);
         start[dim + 1] = rng.uniform(std::log(1e-6), std::log(1e-1));
@@ -153,15 +154,6 @@ std::vector<HyperoptResult> fit_hyperparameters(
                        -best_value[p]});
   }
   return results;
-}
-
-HyperoptResult fit_hyperparameters(KernelFamily family,
-                                   const std::vector<linalg::Vector>& inputs,
-                                   const std::vector<double>& targets,
-                                   Rng& rng, const HyperoptOptions& options,
-                                   const HyperoptResult* warm_start) {
-  const HyperoptProblem problem{family, inputs, targets, warm_start};
-  return fit_hyperparameters({&problem, 1}, rng, options).front();
 }
 
 bool warm_start_compatible(const HyperoptResult& fit, KernelFamily family,

@@ -16,13 +16,10 @@
 
 namespace bofl::gp {
 
+/// The lengthscale and variance bounds are fixed in hyperopt.cpp.
 struct HyperoptOptions {
   std::size_t num_restarts = 4;
   std::size_t max_iterations_per_start = 200;
-  // log-space lengthscale bounds (applied by clamping inside the objective;
-  // the signal and noise variance bounds are fixed in hyperopt.cpp).
-  double min_lengthscale = 0.02;
-  double max_lengthscale = 10.0;
 };
 
 struct HyperoptResult {
@@ -58,13 +55,6 @@ struct HyperoptProblem {
     std::span<const HyperoptProblem> problems, Rng& rng,
     const HyperoptOptions& options = {},
     runtime::ThreadPool* pool = nullptr);
-
-/// Single-problem form of the above, run serially on the caller.
-[[nodiscard]] HyperoptResult fit_hyperparameters(
-    KernelFamily family, const std::vector<linalg::Vector>& inputs,
-    const std::vector<double>& targets, Rng& rng,
-    const HyperoptOptions& options = {},
-    const HyperoptResult* warm_start = nullptr);
 
 /// True when `fit` can seed a warm-started refit for `family` kernels on
 /// `input_dimension`-dimensional inputs: same family, matching ARD width,

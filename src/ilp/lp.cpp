@@ -134,7 +134,9 @@ PhaseResult run_simplex(SimplexState& s, const std::vector<double>& c,
     s.basis[leaving] = entering;
     cb[leaving] = entering < c.size() ? c[entering] : 0.0;
   }
-  BOFL_ASSERT(false, "simplex exceeded its pivot budget");
+  // [[noreturn]], so unlike BOFL_ASSERT(false, ...) no -O0 build warns.
+  detail::throw_assert_failure("iter < max_pivots",
+                               "simplex exceeded its pivot budget");
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 //
 // The real datasets are not available offline; these generators produce
 // classification problems with the same *roles*: a learnable structure
-// (class-dependent Gaussian prototypes, or class-dependent sequence
-// drift for the sentiment task) plus noise, so FedAvg demonstrably reduces
-// loss and improves accuracy across rounds.  Each client shards the stream
-// by seed, giving non-identical local distributions.
+// (class-dependent Gaussian prototypes) plus noise, so FedAvg demonstrably
+// reduces loss and improves accuracy across rounds.  Each client shards the
+// stream by seed, giving non-identical local distributions.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +14,8 @@
 
 namespace bofl::nn {
 
-/// A supervised dataset: features plus one integer label per example.
-/// Features are rank-2 (n, d) for tabular/image-like data or rank-3
-/// (n, time, d) for sequence data.
+/// A supervised dataset: rank-2 (n, d) features plus one integer label per
+/// example.
 struct Dataset {
   Tensor features;
   std::vector<std::int64_t> labels;

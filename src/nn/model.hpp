@@ -1,9 +1,9 @@
-// Sequential model container and the model zoo used by the FL tasks.
+// Sequential model container and the MLP classifier the FL tasks train.
 //
-// The zoo's "proxy" models are intentionally small stand-ins for ViT /
-// ResNet50 / LSTM: the pace controller never inspects the network, it only
-// needs the FL substrate to run real SGD (see DESIGN.md §2).  The LSTM
-// proxy genuinely recurs over a sequence.
+// The classifier is an intentionally small stand-in for ViT / ResNet50 /
+// LSTM: the pace controller never inspects the network, it only needs the
+// FL substrate to run real SGD (see DESIGN.md §2).  The paper's tasks differ
+// only in their device workload profiles.
 #pragma once
 
 #include <memory>

@@ -49,16 +49,6 @@ float Tensor::at(std::size_t r, std::size_t c) const {
   return data_[r * shape_[1] + c];
 }
 
-float& Tensor::at(std::size_t i, std::size_t j, std::size_t k) {
-  BOFL_REQUIRE(rank() == 3, "3-D accessor on non-rank-3 tensor");
-  return data_[(i * shape_[1] + j) * shape_[2] + k];
-}
-
-float Tensor::at(std::size_t i, std::size_t j, std::size_t k) const {
-  BOFL_REQUIRE(rank() == 3, "3-D accessor on non-rank-3 tensor");
-  return data_[(i * shape_[1] + j) * shape_[2] + k];
-}
-
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

@@ -40,10 +40,6 @@ class Tensor {
   [[nodiscard]] float& at(std::size_t r, std::size_t c);
   [[nodiscard]] float at(std::size_t r, std::size_t c) const;
 
-  /// 3-D accessors; requires rank 3.
-  [[nodiscard]] float& at(std::size_t i, std::size_t j, std::size_t k);
-  [[nodiscard]] float at(std::size_t i, std::size_t j, std::size_t k) const;
-
   void fill(float value);
 
   /// Element-wise in-place a += s * b; shapes must match.

@@ -13,10 +13,11 @@ PriorPolicy admit_prior(const KnowledgeStore& store, const ClusterKey& key,
   if (admission.snapshot == nullptr) {
     return PriorPolicy::kCold;
   }
-  controller.apply_prior(
-      admission.snapshot->make_seed(store.options().max_verify_ids),
-      admission.policy);
-  return admission.policy;
+  controller.apply_prior(admission.snapshot->make_seed(), admission.policy);
+  return controller.prior_state() ==
+                 core::BoflController::PriorState::kNone
+             ? PriorPolicy::kCold
+             : admission.policy;
 }
 
 PublishBatch prepare_publish(const core::BoflController& controller,

@@ -20,8 +20,9 @@ class KnowledgeStore;
 /// Ask `store` for `key`'s prior under `requested` and, when it grants one,
 /// seed the fresh `controller` with it.  Returns the policy actually applied:
 /// admission may downgrade (kTrust -> kVerify below the trust bar) or
-/// decline (unknown cluster, low confidence), and a declined controller
-/// stays bit-identical to a cold start (kCold).
+/// decline (unknown or empty cluster, low confidence), the controller
+/// declines a kVerify prior too thin to fit its surrogates from, and a
+/// declined controller stays bit-identical to a cold start (kCold).
 PriorPolicy admit_prior(const KnowledgeStore& store, const ClusterKey& key,
                         PriorPolicy requested,
                         core::BoflController& controller);

@@ -17,6 +17,13 @@ namespace {
 
 using core::BoflController;
 
+/// Below this confidence a cluster's prior is not offered at all.
+constexpr double kMinConfidence = 0.5;
+/// kTrust requests are downgraded to kVerify below this bar.
+constexpr double kTrustConfidence = 0.9;
+/// One misprediction outweighs this many verifications.
+constexpr double kMispredictionWeight = 4.0;
+
 /// Job-weighted combination of two aggregates of the same config, with the
 /// import_state nextafter trick so mean -> weighted -> mean round trips
 /// exactly.
@@ -102,15 +109,15 @@ KnowledgeStore::Admission KnowledgeStore::admit(const ClusterKey& key,
     return {};
   }
   const auto it = clusters_.find(key);
-  if (it == clusters_.end() || !it->second.snapshot.fits_surrogates()) {
+  if (it == clusters_.end() || it->second.snapshot.empty()) {
     return {};
   }
   const double conf = confidence(key);
-  if (conf < options_.min_confidence) {
+  if (conf < kMinConfidence) {
     return {};
   }
   PriorPolicy granted = requested;
-  if (requested == PriorPolicy::kTrust && conf < options_.trust_confidence) {
+  if (requested == PriorPolicy::kTrust && conf < kTrustConfidence) {
     granted = PriorPolicy::kVerify;
   }
   return {granted, &it->second.snapshot};
@@ -118,10 +125,10 @@ KnowledgeStore::Admission KnowledgeStore::admit(const ClusterKey& key,
 
 void KnowledgeStore::contribute(const ClusterKey& key,
                                 const PriorSnapshot& snapshot) {
+  ClusterKnowledge& cluster = clusters_[key];
   if (snapshot.empty()) {
     return;
   }
-  ClusterKnowledge& cluster = clusters_[key];
   ++cluster.contributions;
   if (cluster.snapshot.empty()) {
     cluster.snapshot = snapshot;
@@ -181,7 +188,7 @@ double KnowledgeStore::confidence(const ClusterKey& key) const {
     return 1.0;  // no evidence against a freshly trained cluster
   }
   return verified /
-         (verified + options_.misprediction_weight * mispredicted);
+         (verified + kMispredictionWeight * mispredicted);
 }
 
 std::string KnowledgeStore::to_json() const {
@@ -226,8 +233,7 @@ std::string KnowledgeStore::to_json() const {
   return root.dump();
 }
 
-KnowledgeStore KnowledgeStore::from_json(const std::string& text,
-                                         StoreOptions options) {
+KnowledgeStore KnowledgeStore::from_json(const std::string& text) {
   using telemetry::integer_field;
   using telemetry::integer_value;
   using telemetry::JsonNode;
@@ -237,7 +243,7 @@ KnowledgeStore KnowledgeStore::from_json(const std::string& text,
                "a knowledge store must be a JSON object");
   BOFL_REQUIRE(number_field(root, "version", 0.0) == 1.0,
                "unsupported knowledge store version");
-  KnowledgeStore store(options);
+  KnowledgeStore store;
   const JsonNode* list = root.find("clusters");
   if (list == nullptr) {
     return store;
@@ -343,8 +349,7 @@ void KnowledgeStore::save(const std::string& path) const {
                            error.message());
 }
 
-KnowledgeStore KnowledgeStore::from_file(const std::string& path,
-                                         StoreOptions options) {
+KnowledgeStore KnowledgeStore::from_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   BOFL_REQUIRE(in.is_open(), "cannot open knowledge store: " + path);
   std::ostringstream buffer;
@@ -354,7 +359,7 @@ KnowledgeStore KnowledgeStore::from_file(const std::string& path,
   while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) {
     text.pop_back();
   }
-  return from_json(text, options);
+  return from_json(text);
 }
 
 }  // namespace bofl::priors

@@ -28,21 +28,6 @@
 
 namespace bofl::priors {
 
-struct StoreOptions {
-  /// Below this confidence a cluster's prior is not offered at all.
-  double min_confidence = 0.5;
-  /// kTrust requests are downgraded to kVerify below this bar.
-  double trust_confidence = 0.9;
-  /// One misprediction outweighs this many verifications.
-  double misprediction_weight = 4.0;
-  /// Verification-pass length handed to PriorSnapshot::make_seed.  Two
-  /// Pareto ids (plus the mandatory x_max re-measurement) fit a single
-  /// round under the phase-1 guardian budget on the reference devices, so
-  /// the verification pass collapses to one round; larger values spread the
-  /// pass over more rounds for broader coverage.
-  std::size_t max_verify_ids = 2;
-};
-
 struct ClusterKnowledge {
   PriorSnapshot snapshot;
   std::uint64_t contributions = 0;
@@ -52,13 +37,13 @@ struct ClusterKnowledge {
 
 class KnowledgeStore {
  public:
-  explicit KnowledgeStore(StoreOptions options = {}) : options_(options) {}
-
   /// Admission decision for a client requesting `requested`: the policy the
-  /// store actually grants (possibly downgraded) and the cluster snapshot,
-  /// or {kCold, nullptr} when the cluster is unknown, holds fewer than
-  /// bo::kMinProposeObservations observations (too few to fit the GP), or is
-  /// below the confidence bar.  kCold requests pass through untouched.
+  /// store actually grants and the cluster snapshot, or {kCold, nullptr}
+  /// when the cluster is unknown or empty, or its confidence is below 0.5.
+  /// kTrust is downgraded to kVerify below a confidence of 0.9.  kCold
+  /// requests pass through untouched.  Whether the snapshot holds enough
+  /// observations to resume from is the controller's decision
+  /// (BoflController::apply_prior).
   struct Admission {
     PriorPolicy policy = PriorPolicy::kCold;
     const PriorSnapshot* snapshot = nullptr;
@@ -66,7 +51,9 @@ class KnowledgeStore {
   [[nodiscard]] Admission admit(const ClusterKey& key,
                                 PriorPolicy requested) const;
 
-  /// Merge a freshly distilled snapshot into the cluster: observation lists
+  /// Merge a freshly distilled snapshot into the cluster (an empty one only
+  /// registers the cluster, so a store saved before any round still holds
+  /// it): observation lists
   /// combine with job-weighted quotient-exact means, the Pareto front is
   /// recomputed over the merged profiles, and scalar fields (t_x_max,
   /// source_rounds, GP fits) take the newest contribution.
@@ -76,8 +63,9 @@ class KnowledgeStore {
   /// verification pass confirmed the prior, false when it was demoted.
   void record_outcome(const ClusterKey& key, bool confirmed);
 
-  /// verified / (verified + misprediction_weight · mispredictions);
-  /// 1 when the cluster has no outcomes yet, 0 when unknown.
+  /// verified / (verified + 4 · mispredictions): one misprediction
+  /// outweighs four verifications.  1 when the cluster has no outcomes
+  /// yet, 0 when unknown.
   [[nodiscard]] double confidence(const ClusterKey& key) const;
 
   [[nodiscard]] std::size_t num_clusters() const { return clusters_.size(); }
@@ -85,7 +73,6 @@ class KnowledgeStore {
       const {
     return clusters_;
   }
-  [[nodiscard]] const StoreOptions& options() const { return options_; }
 
   /// Byte-stable serialization (see the determinism rules above).
   [[nodiscard]] std::string to_json() const;
@@ -95,14 +82,11 @@ class KnowledgeStore {
   /// means positive, t_x_max_s non-negative, 'gp' must hold no fit or one
   /// per objective, and no cluster may appear twice.  Every store save()
   /// writes passes.
-  [[nodiscard]] static KnowledgeStore from_json(const std::string& text,
-                                                StoreOptions options = {});
+  [[nodiscard]] static KnowledgeStore from_json(const std::string& text);
   void save(const std::string& path) const;
-  [[nodiscard]] static KnowledgeStore from_file(const std::string& path,
-                                                StoreOptions options = {});
+  [[nodiscard]] static KnowledgeStore from_file(const std::string& path);
 
  private:
-  StoreOptions options_;
   std::map<ClusterKey, ClusterKnowledge> clusters_;
 };
 

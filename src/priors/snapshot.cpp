@@ -4,11 +4,14 @@
 
 namespace bofl::priors {
 
-core::BoflController::PriorSeed PriorSnapshot::make_seed(
-    std::size_t max_verify) const {
+core::BoflController::PriorSeed PriorSnapshot::make_seed() const {
+  // Verification-pass length.  Two Pareto ids (plus the mandatory x_max
+  // re-measurement) fit a single round under the phase-1 guardian budget on
+  // the reference devices, so the verification pass collapses to one round.
+  constexpr std::size_t kMaxVerifyIds = 2;
   core::BoflController::PriorSeed seed;
   seed.observations = observations;
-  const std::size_t count = std::min(max_verify, pareto_flat_ids.size());
+  const std::size_t count = std::min(kMaxVerifyIds, pareto_flat_ids.size());
   seed.verify_flat_ids.assign(pareto_flat_ids.begin(),
                               pareto_flat_ids.begin() +
                                   static_cast<std::ptrdiff_t>(count));

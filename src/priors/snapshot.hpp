@@ -9,7 +9,6 @@
 #include <optional>
 #include <vector>
 
-#include "bo/mbo_engine.hpp"
 #include "core/bofl_controller.hpp"
 #include "gp/hyperopt.hpp"
 
@@ -31,19 +30,11 @@ struct PriorSnapshot {
   std::optional<gp::HyperoptResult> fit2;
 
   [[nodiscard]] bool empty() const { return observations.empty(); }
-  /// Enough observations to fit the GP surrogates from
-  /// (bo::kMinProposeObservations).  A controller seeded from fewer would
-  /// skip phase 1 when x_max is among them and reach Pareto construction
-  /// unable to propose, so such a snapshot starts a controller cold.
-  [[nodiscard]] bool fits_surrogates() const {
-    return observations.size() >= bo::kMinProposeObservations;
-  }
 
-  /// Controller seed: all observations, plus up to `max_verify` Pareto
+  /// Controller seed: all observations, plus the first two Pareto
   /// representatives as the on-unit verification plan (x_max is prepended
   /// by the controller itself).
-  [[nodiscard]] core::BoflController::PriorSeed make_seed(
-      std::size_t max_verify = 4) const;
+  [[nodiscard]] core::BoflController::PriorSeed make_seed() const;
 };
 
 /// Distill a snapshot from a controller (typically converged — callers gate

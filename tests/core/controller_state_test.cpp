@@ -276,6 +276,46 @@ TEST(StateIo, StateWithoutXmaxRestartsExploration) {
   EXPECT_EQ(resumed.phase(), Phase::kSafeRandomExploration);
 }
 
+// The controller owns the resume floor: a state saved after any prefix of a
+// run, however thin, loads and runs on.  For each paper task on both
+// devices one 40-round run is saved after r rounds for every r below, and
+// each save resumes a fresh controller for 20 more rounds.  Every resume
+// must finish, and with no faults every deadline is feasible, so Eqn. 2
+// allows no miss.
+TEST(StateIo, ResumeAfterAnyPrefixRunsOnAndMeetsEveryDeadline) {
+  const std::int64_t prefixes[] = {0, 1, 2, 3, 5, 8, 20, 40};
+  for (const device::DeviceModel& model :
+       {device::jetson_agx(), device::jetson_tx2()}) {
+    for (FlTaskSpec task : paper_tasks(model.name())) {
+      SCOPED_TRACE(model.name() + " " + task.name);
+      const priors::ClusterKey key =
+          priors::ClusterKey::of(model, task.profile);
+      const std::string path =
+          ::testing::TempDir() + "/state_prefix_" + key.device + "_" +
+          key.workload + ".json";
+      task.num_rounds = 40;
+      const auto rounds = make_rounds(task, model, 2.0, 81);
+      task.num_rounds = 20;
+      const auto more_rounds = make_rounds(task, model, 2.0, 84);
+      BoflController first(model, task.profile, {},
+                           fast_options(model.name()), 82);
+      std::int64_t done = 0;
+      for (const std::int64_t r : prefixes) {
+        for (; done < r; ++done) {
+          (void)first.run_round(rounds[static_cast<std::size_t>(done)]);
+        }
+        write_state_file(first, key, r, path);
+        BoflController resumed(model, task.profile, {},
+                               fast_options(model.name()), 83);
+        resumed.import_state(read_state_file(path, key));
+        EXPECT_TRUE(run_task(resumed, more_rounds).all_deadlines_met())
+            << "saved after " << r << " rounds";
+      }
+      std::remove(path.c_str());
+    }
+  }
+}
+
 TEST(StateIo, ImportRejectsUsedControllerAndBadData) {
   const device::DeviceModel agx = device::jetson_agx();
   FlTaskSpec task = cifar10_vit_task(agx.name());

@@ -23,6 +23,14 @@ void make_data(std::vector<linalg::Vector>& xs, std::vector<double>& ys,
   }
 }
 
+/// One Matérn-5/2 fit, run serially.
+HyperoptResult fit_one(const std::vector<linalg::Vector>& xs,
+                       const std::vector<double>& ys, Rng& rng,
+                       const HyperoptResult* warm_start = nullptr) {
+  const HyperoptProblem problem{KernelFamily::kMatern52, xs, ys, warm_start};
+  return fit_hyperparameters({&problem, 1}, rng).front();
+}
+
 TEST(Hyperopt, ImprovesOverDefaultHyperparameters) {
   Rng rng(21);
   std::vector<linalg::Vector> xs;
@@ -35,7 +43,7 @@ TEST(Hyperopt, ImprovesOverDefaultHyperparameters) {
 
   Rng opt_rng(22);
   const HyperoptResult fit =
-      fit_hyperparameters(KernelFamily::kMatern52, xs, ys, opt_rng);
+      fit_one(xs, ys, opt_rng);
   EXPECT_GT(fit.log_marginal_likelihood,
             default_gp.log_marginal_likelihood());
 }
@@ -47,7 +55,7 @@ TEST(Hyperopt, RecoversSaneLengthscale) {
   make_data(xs, ys, 30, rng);
   Rng opt_rng(24);
   const HyperoptResult fit =
-      fit_hyperparameters(KernelFamily::kMatern52, xs, ys, opt_rng);
+      fit_one(xs, ys, opt_rng);
   // sin(5x) on [0,1] has a correlation length of roughly 0.1-1.
   EXPECT_GT(fit.kernel.lengthscales()[0], 0.02);
   EXPECT_LT(fit.kernel.lengthscales()[0], 3.0);
@@ -62,7 +70,7 @@ TEST(Hyperopt, FittedModelPredictsHeldOutPoints) {
   make_data(xs, ys, 30, rng);
   Rng opt_rng(26);
   const HyperoptResult fit =
-      fit_hyperparameters(KernelFamily::kMatern52, xs, ys, opt_rng);
+      fit_one(xs, ys, opt_rng);
   GaussianProcess gp(fit.kernel, fit.noise_variance);
   gp.condition(xs, ys);
   double max_error = 0.0;
@@ -73,19 +81,26 @@ TEST(Hyperopt, FittedModelPredictsHeldOutPoints) {
   EXPECT_LT(max_error, 0.25);
 }
 
+// The lengthscale is clamped to [0.02, 10]: a straight line pulls it up to
+// the upper bound, and a wave of period 0.01 sampled every 0.002 pulls it
+// down to the lower one.
 TEST(Hyperopt, RespectsBounds) {
-  Rng rng(27);
-  std::vector<linalg::Vector> xs;
-  std::vector<double> ys;
-  make_data(xs, ys, 15, rng);
-  HyperoptOptions options;
-  options.min_lengthscale = 0.2;
-  options.max_lengthscale = 0.4;
+  std::vector<linalg::Vector> line_xs;
+  std::vector<double> line;
+  std::vector<linalg::Vector> wave_xs;
+  std::vector<double> wave;
+  for (std::size_t i = 0; i < 30; ++i) {
+    const double x = static_cast<double>(i) / 29.0;
+    line_xs.push_back({x});
+    line.push_back(x);
+    wave_xs.push_back({0.002 * static_cast<double>(i)});
+    wave.push_back(std::sin(200.0 * M_PI * wave_xs.back()[0]));
+  }
   Rng opt_rng(28);
-  const HyperoptResult fit = fit_hyperparameters(KernelFamily::kMatern52, xs,
-                                                 ys, opt_rng, options);
-  EXPECT_GE(fit.kernel.lengthscales()[0], 0.2);
-  EXPECT_LE(fit.kernel.lengthscales()[0], 0.4);
+  const HyperoptResult up = fit_one(line_xs, line, opt_rng);
+  const HyperoptResult down = fit_one(wave_xs, wave, opt_rng);
+  EXPECT_EQ(up.kernel.lengthscales()[0], 10.0);
+  EXPECT_EQ(down.kernel.lengthscales()[0], 0.02);
 }
 
 TEST(Hyperopt, WorksWithTinyDatasets) {
@@ -93,14 +108,13 @@ TEST(Hyperopt, WorksWithTinyDatasets) {
   const std::vector<double> ys{0.1, 0.9, 0.2};
   Rng opt_rng(29);
   const HyperoptResult fit =
-      fit_hyperparameters(KernelFamily::kMatern52, xs, ys, opt_rng);
+      fit_one(xs, ys, opt_rng);
   EXPECT_TRUE(std::isfinite(fit.log_marginal_likelihood));
 }
 
 TEST(Hyperopt, RejectsEmptyData) {
   Rng opt_rng(30);
-  EXPECT_THROW((void)fit_hyperparameters(KernelFamily::kMatern52, {}, {},
-                                         opt_rng),
+  EXPECT_THROW((void)fit_one({}, {}, opt_rng),
                std::invalid_argument);
 }
 
@@ -114,9 +128,8 @@ TEST(Hyperopt, WarmStartKeepsLikelihoodOnSameData) {
   make_data(xs, ys, 25, rng);
   Rng opt_rng(32);
   const HyperoptResult full =
-      fit_hyperparameters(KernelFamily::kMatern52, xs, ys, opt_rng);
-  const HyperoptResult warm = fit_hyperparameters(KernelFamily::kMatern52, xs,
-                                                  ys, opt_rng, {}, &full);
+      fit_one(xs, ys, opt_rng);
+  const HyperoptResult warm = fit_one(xs, ys, opt_rng, &full);
   EXPECT_GE(warm.log_marginal_likelihood,
             full.log_marginal_likelihood - 1e-9);
 }
@@ -130,13 +143,11 @@ TEST(Hyperopt, WarmStartIsDeterministicAndSkipsRng) {
   make_data(xs, ys, 20, rng);
   Rng opt_rng(34);
   const HyperoptResult full =
-      fit_hyperparameters(KernelFamily::kMatern52, xs, ys, opt_rng);
+      fit_one(xs, ys, opt_rng);
   Rng a(1);
   Rng b(2);
-  const HyperoptResult wa = fit_hyperparameters(KernelFamily::kMatern52, xs,
-                                                ys, a, {}, &full);
-  const HyperoptResult wb = fit_hyperparameters(KernelFamily::kMatern52, xs,
-                                                ys, b, {}, &full);
+  const HyperoptResult wa = fit_one(xs, ys, a, &full);
+  const HyperoptResult wb = fit_one(xs, ys, b, &full);
   EXPECT_EQ(wa.log_marginal_likelihood, wb.log_marginal_likelihood);
   EXPECT_EQ(wa.noise_variance, wb.noise_variance);
   EXPECT_EQ(wa.kernel.lengthscales(), wb.kernel.lengthscales());
@@ -152,10 +163,9 @@ TEST(Hyperopt, WarmStartTracksGrowingData) {
   make_data(xs, ys, 15, rng);
   Rng opt_rng(36);
   const HyperoptResult early =
-      fit_hyperparameters(KernelFamily::kMatern52, xs, ys, opt_rng);
+      fit_one(xs, ys, opt_rng);
   make_data(xs, ys, 30, rng);
-  const HyperoptResult warm = fit_hyperparameters(KernelFamily::kMatern52, xs,
-                                                  ys, opt_rng, {}, &early);
+  const HyperoptResult warm = fit_one(xs, ys, opt_rng, &early);
   GaussianProcess stale(early.kernel, early.noise_variance);
   stale.condition(xs, ys);
   EXPECT_GE(warm.log_marginal_likelihood,
@@ -170,8 +180,7 @@ TEST(Hyperopt, WarmStartRejectsMismatchedDimension) {
   const HyperoptResult wrong_dim{
       Kernel(KernelFamily::kMatern52, 1.0, {0.3, 0.3}), 1e-4, 0.0};
   Rng opt_rng(38);
-  EXPECT_THROW((void)fit_hyperparameters(KernelFamily::kMatern52, xs, ys,
-                                         opt_rng, {}, &wrong_dim),
+  EXPECT_THROW((void)fit_one(xs, ys, opt_rng, &wrong_dim),
                std::invalid_argument);
 }
 
@@ -208,10 +217,8 @@ void expect_batch_equals_sequential(const TwoObjectives& data,
                                     const HyperoptResult* warm_t,
                                     const HyperoptResult* warm_e) {
   Rng sequential_rng(41);
-  const HyperoptResult seq_t = fit_hyperparameters(
-      KernelFamily::kMatern52, data.xs, data.t, sequential_rng, {}, warm_t);
-  const HyperoptResult seq_e = fit_hyperparameters(
-      KernelFamily::kMatern52, data.xs, data.e, sequential_rng, {}, warm_e);
+  const HyperoptResult seq_t = fit_one(data.xs, data.t, sequential_rng, warm_t);
+  const HyperoptResult seq_e = fit_one(data.xs, data.e, sequential_rng, warm_e);
   const double next_draw = sequential_rng.uniform();
 
   for (const std::size_t threads : {0, 1, 2, 8}) {
@@ -246,9 +253,9 @@ TEST(Hyperopt, ParallelTwoGpWarmPolishEqualsSequentialFits) {
   const TwoObjectives data = make_two_objectives(18, 40);
   Rng rng(42);
   const HyperoptResult start_t =
-      fit_hyperparameters(KernelFamily::kMatern52, data.xs, data.t, rng);
+      fit_one(data.xs, data.t, rng);
   const HyperoptResult start_e =
-      fit_hyperparameters(KernelFamily::kMatern52, data.xs, data.e, rng);
+      fit_one(data.xs, data.e, rng);
   const TwoObjectives grown = make_two_objectives(24, 40);
   expect_batch_equals_sequential(grown, &start_t, &start_e);
 }

@@ -16,12 +16,6 @@ TEST(Tensor, ShapeAndFill) {
   EXPECT_FLOAT_EQ(t[0], 0.25f);
 }
 
-TEST(Tensor, RankThreeIndexing) {
-  Tensor t({2, 3, 4});
-  t.at(1, 2, 3) = 9.0f;
-  EXPECT_FLOAT_EQ(t[1 * 12 + 2 * 4 + 3], 9.0f);
-}
-
 TEST(Tensor, RandnStatistics) {
   Rng rng(5);
   const Tensor t = Tensor::randn({100, 100}, rng, 2.0f);

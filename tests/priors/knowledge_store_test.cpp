@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "bo/mbo_engine.hpp"
+#include "device/device_model.hpp"
+#include "priors/handshake.hpp"
 
 namespace bofl::priors {
 namespace {
@@ -28,7 +30,8 @@ PriorSnapshot snapshot_of(std::vector<SavedObservation> observations) {
   return snapshot;
 }
 
-/// The smallest prior admission grants: bo::kMinProposeObservations rows.
+/// The smallest prior a controller takes under kVerify:
+/// bo::kMinProposeObservations rows.
 PriorSnapshot admissible_snapshot() {
   return snapshot_of(
       {{5, 4.0, 2.0, 0.5}, {8, 4.0, 1.5, 0.7}, {11, 4.0, 1.2, 0.9}});
@@ -69,13 +72,13 @@ TEST(KnowledgeStore, ConfidenceGatesAdmissionAndDowngradesTrust) {
       store.admit(kKey, PriorPolicy::kVerify);
   EXPECT_EQ(declined.snapshot, nullptr);
 
-  // Many confirmations rebuild confidence past min_confidence but stay
-  // below the trust bar: kTrust is downgraded to kVerify.
+  // Many confirmations rebuild confidence past the 0.5 admission bar but
+  // stay below the 0.9 trust bar: kTrust is downgraded to kVerify.
   for (int i = 0; i < 10; ++i) {
     store.record_outcome(kKey, true);
   }
-  EXPECT_GT(store.confidence(kKey), store.options().min_confidence);
-  EXPECT_LT(store.confidence(kKey), store.options().trust_confidence);
+  EXPECT_GT(store.confidence(kKey), 0.5);
+  EXPECT_LT(store.confidence(kKey), 0.9);
   const KnowledgeStore::Admission downgraded =
       store.admit(kKey, PriorPolicy::kTrust);
   EXPECT_EQ(downgraded.policy, PriorPolicy::kVerify);
@@ -217,6 +220,9 @@ TEST(KnowledgeStore, RejectsHostileStores) {
 TEST(KnowledgeStore, EmptySnapshotNeverAdmits) {
   KnowledgeStore store;
   store.contribute(kKey, PriorSnapshot{});
+  // The cluster is registered, so a store saved before any round holds it,
+  // but it has nothing to offer.
+  EXPECT_EQ(store.num_clusters(), 1u);
   const KnowledgeStore::Admission admission =
       store.admit(kKey, PriorPolicy::kVerify);
   EXPECT_EQ(admission.snapshot, nullptr);
@@ -224,27 +230,35 @@ TEST(KnowledgeStore, EmptySnapshotNeverAdmits) {
 }
 
 TEST(KnowledgeStore, PriorTooThinForTheGpNeverAdmits) {
-  // A warm controller can reach Pareto construction on the prior's rows
-  // alone, and propose_batch needs kMinProposeObservations of them: a
-  // thinner prior starts its cluster cold instead of stopping the run.
+  // A kVerify controller can reach Pareto construction on the prior's rows
+  // alone, and propose_batch needs kMinProposeObservations of them.  The
+  // controller declines a thinner prior, so through the handshake its
+  // cluster starts cold; a prior with enough rows is taken.
+  const device::DeviceModel agx = device::jetson_agx();
+  const device::WorkloadProfile profile = device::vit_profile();
+  const ClusterKey key = ClusterKey::of(agx, profile);
   std::vector<SavedObservation> rows = admissible_snapshot().observations;
   rows.pop_back();
   ASSERT_EQ(rows.size() + 1, bo::kMinProposeObservations);
-  for (const PriorPolicy policy : {PriorPolicy::kVerify, PriorPolicy::kTrust}) {
+  for (; !rows.empty(); rows.pop_back()) {
+    SCOPED_TRACE(rows.size());
     KnowledgeStore thin;
-    thin.contribute(kKey, snapshot_of(rows));
-    const KnowledgeStore::Admission declined = thin.admit(kKey, policy);
-    EXPECT_EQ(declined.policy, PriorPolicy::kCold);
-    EXPECT_EQ(declined.snapshot, nullptr);
-
-    KnowledgeStore enough;
-    enough.contribute(kKey, admissible_snapshot());
-    const KnowledgeStore::Admission granted = enough.admit(kKey, policy);
-    EXPECT_EQ(granted.policy, policy);
-    ASSERT_NE(granted.snapshot, nullptr);
-    EXPECT_EQ(granted.snapshot->observations.size(),
-              bo::kMinProposeObservations);
+    thin.contribute(key, snapshot_of(rows));
+    core::BoflController warm(agx, profile, {}, {}, 3);
+    EXPECT_EQ(admit_prior(thin, key, PriorPolicy::kVerify, warm),
+              PriorPolicy::kCold);
+    EXPECT_EQ(warm.prior_state(), core::BoflController::PriorState::kNone);
+    EXPECT_EQ(warm.phase(), core::Phase::kSafeRandomExploration);
+    EXPECT_EQ(warm.engine().num_observations(), 0u);
   }
+
+  KnowledgeStore enough;
+  enough.contribute(key, admissible_snapshot());
+  core::BoflController warm(agx, profile, {}, {}, 3);
+  EXPECT_EQ(admit_prior(enough, key, PriorPolicy::kVerify, warm),
+            PriorPolicy::kVerify);
+  EXPECT_EQ(warm.prior_state(), core::BoflController::PriorState::kVerifying);
+  EXPECT_EQ(warm.engine().num_observations(), bo::kMinProposeObservations);
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ TEST(WarmStart, KColdReproducesTheColdTrajectoryExactly) {
   const device::DeviceModel agx = device::jetson_agx();
   const core::FlTaskSpec task = core::cifar10_vit_task(agx.name());
   const Donor donor = make_donor(agx);
-  const BoflController::PriorSeed seed = donor.snapshot.make_seed(2);
+  const BoflController::PriorSeed seed = donor.snapshot.make_seed();
 
   BoflController cold(agx, task.profile, {}, fast_options(agx.name()), 77);
   BoflController offered(agx, task.profile, {}, fast_options(agx.name()), 77);
@@ -82,7 +82,7 @@ TEST(WarmStart, KVerifyCollapsesExplorationToAVerificationPass) {
   const Donor donor = make_donor(agx);
 
   BoflController warm(agx, task.profile, {}, fast_options(agx.name()), 77);
-  warm.apply_prior(donor.snapshot.make_seed(2), PriorPolicy::kVerify);
+  warm.apply_prior(donor.snapshot.make_seed(), PriorPolicy::kVerify);
   EXPECT_EQ(warm.prior_state(), BoflController::PriorState::kVerifying);
 
   const auto rounds = rounds_for(agx, 16, 3.0, 33);
@@ -113,7 +113,7 @@ TEST(WarmStart, OptimisticPriorDemotesToColdAndRearmsDrift) {
   }
 
   BoflController warm(agx, task.profile, {}, fast_options(agx.name()), 77);
-  warm.apply_prior(poisoned.make_seed(2), PriorPolicy::kVerify);
+  warm.apply_prior(poisoned.make_seed(), PriorPolicy::kVerify);
 
   const auto rounds = rounds_for(agx, 20, 3.0, 33);
   const core::TaskResult result = core::run_task(warm, rounds);
@@ -134,7 +134,7 @@ TEST(WarmStart, KTrustAdoptsWithoutVerification) {
   const Donor donor = make_donor(agx);
 
   BoflController trusted(agx, task.profile, {}, fast_options(agx.name()), 77);
-  trusted.apply_prior(donor.snapshot.make_seed(2), PriorPolicy::kTrust);
+  trusted.apply_prior(donor.snapshot.make_seed(), PriorPolicy::kTrust);
   EXPECT_EQ(trusted.prior_state(), BoflController::PriorState::kAdopted);
   // import_state semantics: the donor's coverage passes the exploration
   // floor, so the controller starts its life in exploitation.
@@ -144,6 +144,36 @@ TEST(WarmStart, KTrustAdoptsWithoutVerification) {
   const core::TaskResult result = core::run_task(trusted, rounds);
   EXPECT_EQ(result.rounds_in_phase(core::Phase::kExploitation),
             static_cast<std::int64_t>(result.rounds.size()));
+}
+
+// A trusted prior too thin to fit the surrogates from (x_max alone) is
+// adopted as measured, and the controller resumes in phase 1 rather than
+// in a Pareto construction it cannot propose from: the rest of the
+// sampled plan runs, then the run goes on to exploitation.
+TEST(WarmStart, ThinTrustedPriorResumesInPhaseOne) {
+  const device::DeviceModel agx = device::jetson_agx();
+  const core::FlTaskSpec task = core::cifar10_vit_task(agx.name());
+  const device::DvfsConfig x_max = agx.space().max_config();
+  BoflController::PriorSeed seed;
+  seed.observations.push_back({agx.space().to_flat(x_max), 50.0,
+                               agx.energy(task.profile, x_max).value(),
+                               agx.latency(task.profile, x_max).value()});
+
+  BoflController trusted(agx, task.profile, {}, fast_options(agx.name()), 79);
+  trusted.apply_prior(seed, PriorPolicy::kTrust);
+  EXPECT_EQ(trusted.prior_state(), BoflController::PriorState::kAdopted);
+  EXPECT_EQ(trusted.phase(), core::Phase::kSafeRandomExploration);
+
+  const core::TaskResult result =
+      core::run_task(trusted, rounds_for(agx, 20, 3.0, 35));
+  EXPECT_TRUE(result.all_deadlines_met());
+  EXPECT_GT(result.rounds_in_phase(core::Phase::kParetoConstruction), 0);
+  for (const core::RoundTrace& trace : result.rounds) {
+    for (const std::size_t flat : trace.explored_flat_ids) {
+      EXPECT_NE(flat, agx.space().to_flat(x_max))
+          << "round " << trace.index << " re-measured the adopted x_max";
+    }
+  }
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ BoflController::PriorSeed make_donor_seed(priors::PriorSnapshot* snapshot) {
       run_device_scenario(faults::FaultPlan{}, clean);
   EXPECT_FALSE(donor.snapshot.empty());
   *snapshot = donor.snapshot;
-  return snapshot->make_seed(2);
+  return snapshot->make_seed();
 }
 
 TEST(PriorScenario, PoisonedPriorTripsGuardianAndDemotes) {

@@ -19,10 +19,10 @@
 // schedule.  --save-state writes the BoFL controller's learned state as a
 // one-cluster knowledge store (priors/knowledge_store.hpp, the format
 // bofl_fleet --priors save writes); --load-state resumes from the
-// device/task cluster of such a store (a cluster with fewer observations
-// than the surrogates need starts cold and says so), and a store without
-// that cluster or with a malformed field is a usage error.  Everything a downstream user
-// needs to poke at the system without writing C++.
+// device/task cluster of such a store (in phase 1 while it holds fewer
+// observations than the surrogates need), and a store without that cluster
+// or with a malformed field is a usage error.  Everything a downstream
+// user needs to poke at the system without writing C++.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -173,15 +173,9 @@ int run_sim(int argc, char** argv) {
         const auto found = store.clusters().find(key);
         BOFL_REQUIRE(found != store.clusters().end(),
                      "no " + key.label() + " state in " + state_path);
-        if (found->second.snapshot.fits_surrogates()) {
-          bofl->import_state(found->second.snapshot.observations);
-          std::printf("resumed from %s (phase %d)\n", state_path.c_str(),
-                      static_cast<int>(bofl->phase()));
-        } else {
-          std::printf("%s holds too few observations to resume from; "
-                      "starting cold\n",
-                      state_path.c_str());
-        }
+        bofl->import_state(found->second.snapshot.observations);
+        std::printf("resumed from %s (phase %d)\n", state_path.c_str(),
+                    static_cast<int>(bofl->phase()));
       }
     }
     if (channel) {

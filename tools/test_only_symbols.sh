@@ -10,8 +10,14 @@
 # same translation unit can inline its callee, so the callee's own section is
 # dropped although the program calls it.
 #
-# The non-test binaries are bofl_sim, bofl_fleet, bofl_bench, the examples
-# and every bench/bench_* (the paper-figure benches count as programs).
+# The programs are bofl_sim, bofl_fleet, bofl_bench, the examples and the
+# bench/bench_* figure and table benches.  The micro-benchmarks
+# (bench/bench_micro_* and bench_linalg_kernels) time library code in
+# isolation and do not count: a function whose only callers are tests and
+# its own micro-benchmark is not needed by any program.
+#
+# The scan build also turns warnings into errors, so a warning that only
+# shows at -O0 (where dead code is not folded away) fails it.
 #
 # The scan fails on
 #   * a test-only function that is not allowlisted, and
@@ -34,6 +40,7 @@ cmake -S "${root}" -B "${build}" \
   -DCMAKE_BUILD_TYPE=None \
   -DCMAKE_CXX_FLAGS="${scan_flags}" \
   -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" \
+  -DBOFL_WARNINGS_AS_ERRORS=ON \
   -DBOFL_BUILD_TESTS=OFF -DBOFL_BUILD_BENCHMARKS=ON \
   -DBOFL_BUILD_EXAMPLES=ON > /dev/null
 cmake --build "${build}" -j "${jobs}" > /dev/null
@@ -64,7 +71,8 @@ mapfile -t programs < <(
     echo "${build}/tools/bofl_sim"
     echo "${build}/tools/bofl_fleet"
     echo "${build}/bench/e2e/bofl_bench"
-    find "${build}/examples" "${build}/bench" -maxdepth 1 -type f -executable
+    find "${build}/examples" "${build}/bench" -maxdepth 1 -type f -executable \
+      ! -name 'bench_micro_*' ! -name 'bench_linalg_kernels'
   } | sort -u)
 for p in "${programs[@]}"; do
   [[ -x "${p}" ]] || { echo "missing program ${p}" >&2; exit 2; }
@@ -98,7 +106,7 @@ unlisted="$(comm -23 "${work}/test_only" "${work}/allowed")"
 stale="$(comm -13 "${work}/test_only" "${work}/allowed")"
 
 echo "bofl:: functions in src/ archives: $(wc -l < "${work}/library")"
-echo "kept by ${#programs[@]} non-test programs:" \
+echo "kept by ${#programs[@]} programs:" \
   "$(comm -12 "${work}/library" "${work}/kept" | wc -l)"
 echo "test-only (allowlisted): $(comm -12 "${work}/test_only" "${work}/allowed" | wc -l)"
 
