@@ -11,6 +11,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "figure_common.hpp"
@@ -170,11 +171,14 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < n; ++i) {
       points.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
     }
+    linalg::Matrix k;
     const double serial = best_seconds(20, sink, [&] {
-      return kernel.gram(points)(n - 1, 0);
+      kernel.gram(points, k);
+      return k(n - 1, 0);
     });
     const double pooled = best_seconds(20, sink, [&] {
-      return kernel.gram(points, &bench::shared_pool())(n - 1, 0);
+      kernel.gram(points, k, &bench::shared_pool());
+      return k(n - 1, 0);
     });
     std::printf("  %6zu %14.3f %14.3f %10.2f\n", n, serial * 1e3,
                 pooled * 1e3, serial / pooled);
@@ -192,8 +196,10 @@ int main(int argc, char** argv) {
   telemetry::JsonValue chol = telemetry::JsonValue::array();
   for (const std::size_t n : {32u, 64u, 128u, 256u}) {
     const linalg::Matrix spd = random_spd(n, rng);
+    linalg::Matrix l;
     const double secs = best_seconds(20, sink, [&] {
-      return (*linalg::cholesky(spd))(n - 1, n - 1);
+      (void)linalg::cholesky(spd, l);
+      return l(n - 1, n - 1);
     });
     const double gflops =
         static_cast<double>(n) * n * n / 3.0 / secs / 1e9;
@@ -214,7 +220,8 @@ int main(int argc, char** argv) {
   for (const std::size_t n : {30u, 60u, 90u}) {
     const std::size_t m = 2048;
     const linalg::Matrix spd = random_spd(n, rng);
-    const linalg::Matrix l = *linalg::cholesky(spd);
+    linalg::Matrix l;
+    BOFL_ASSERT(linalg::cholesky(spd, l), "random SPD matrix must factor");
     const linalg::Matrix b = random_matrix(n, m, rng);
     const double per_rhs = best_seconds(10, sink, [&] {
       double acc = 0.0;

@@ -27,10 +27,20 @@ void GaussianProcess::condition(std::vector<linalg::Vector> inputs,
   refit();
 }
 
+void GaussianProcess::set_hyperparameters(Kernel kernel,
+                                          double noise_variance) {
+  BOFL_REQUIRE(noise_variance >= 0.0, "noise variance must be non-negative");
+  BOFL_REQUIRE(kernel.input_dimension() == kernel_.input_dimension(),
+               "input dimension mismatch");
+  kernel_ = std::move(kernel);
+  noise_variance_ = noise_variance;
+  refit();
+}
+
 void GaussianProcess::add_observation(linalg::Vector input, double target) {
   BOFL_REQUIRE(input.size() == kernel_.input_dimension(),
                "input dimension mismatch");
-  if (full_refit_ || !chol_.has_value() || inputs_.empty()) {
+  if (full_refit_ || inputs_.empty()) {
     inputs_.push_back(std::move(input));
     targets_.push_back(target);
     refit();
@@ -41,7 +51,7 @@ void GaussianProcess::add_observation(linalg::Vector input, double target) {
   // diagonal entry carries the same jitter to stay one coherent matrix.
   const linalg::Vector cross = kernel_.cross(input, inputs_);
   const double diag = kernel_.signal_variance() + noise_variance_ + jitter_;
-  auto extended = linalg::cholesky_append_row(*chol_, cross, diag);
+  auto extended = linalg::cholesky_append_row(chol_, cross, diag);
   inputs_.push_back(std::move(input));
   targets_.push_back(target);
   if (!extended.has_value()) {
@@ -49,24 +59,22 @@ void GaussianProcess::add_observation(linalg::Vector input, double target) {
     return;
   }
   chol_ = std::move(*extended);
-  alpha_ = linalg::solve_cholesky(*chol_, targets_);
+  linalg::solve_cholesky(chol_, targets_, alpha_);
 }
 
 void GaussianProcess::refit() {
   if (inputs_.empty()) {
-    chol_.reset();
+    chol_.assign(0, 0);
     alpha_.clear();
     jitter_ = 0.0;
     return;
   }
-  linalg::Matrix k = kernel_.gram(inputs_, pool_);
+  kernel_.gram(inputs_, gram_, pool_);
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    k(i, i) += noise_variance_;
+    gram_(i, i) += noise_variance_;
   }
-  auto factor = linalg::cholesky_with_jitter(k);
-  chol_ = std::move(factor.l);
-  jitter_ = factor.jitter;
-  alpha_ = linalg::solve_cholesky(*chol_, targets_);
+  jitter_ = linalg::cholesky_with_jitter(gram_, chol_);
+  linalg::solve_cholesky(chol_, targets_, alpha_);
 }
 
 Prediction GaussianProcess::predict(const linalg::Vector& x) const {
@@ -87,7 +95,7 @@ Prediction GaussianProcess::predict_from_cross(
                "cross-covariance length mismatch");
   const double mean = linalg::dot(k_star, alpha_);
   // variance = k(x,x) - k*^T (K + s^2 I)^{-1} k* computed via v = L^{-1} k*.
-  const linalg::Vector v = linalg::solve_lower(*chol_, k_star);
+  const linalg::Vector v = linalg::solve_lower(chol_, k_star);
   const double variance = kernel_.signal_variance() - linalg::dot(v, v);
   return {mean, std::max(variance, 0.0)};
 }
@@ -115,7 +123,7 @@ void GaussianProcess::predict_block(
       b(i, j) = row[i];
     }
   }
-  const linalg::Matrix v = linalg::solve_lower_multi(*chol_, b);
+  const linalg::Matrix v = linalg::solve_lower_multi(chol_, b);
   std::vector<double> explained(count, 0.0);
   linalg::simd::sumsq_rows_accumulate(v.row(0), n, count, explained.data());
   const double sv = kernel_.signal_variance();
@@ -129,7 +137,7 @@ double GaussianProcess::log_marginal_likelihood() const {
   BOFL_REQUIRE(!inputs_.empty(), "log marginal likelihood needs data");
   const auto n = static_cast<double>(inputs_.size());
   const double data_fit = -0.5 * linalg::dot(targets_, alpha_);
-  const double complexity = -0.5 * linalg::log_det_from_cholesky(*chol_);
+  const double complexity = -0.5 * linalg::log_det_from_cholesky(chol_);
   const double constant = -0.5 * n * std::log(2.0 * M_PI);
   return data_fit + complexity + constant;
 }

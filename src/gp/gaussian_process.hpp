@@ -9,7 +9,6 @@
 // the from-scratch refactorization as a reference/escape hatch.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "gp/kernel.hpp"
@@ -36,6 +35,14 @@ class GaussianProcess {
   /// data.  Requires inputs.size() == targets.size() and matching dimension.
   void condition(std::vector<linalg::Vector> inputs,
                  std::vector<double> targets);
+
+  /// Replace the kernel and noise variance and re-condition on the current
+  /// data in place: the Gram, factor and alpha storage is reused, and the
+  /// result is bit-identical to a fresh GaussianProcess with these
+  /// hyperparameters conditioned on the same data (the hyperparameter
+  /// search refits one GP per run this way).  The kernel's input dimension
+  /// must match the current one.
+  void set_hyperparameters(Kernel kernel, double noise_variance);
 
   /// Append one observation and re-condition (used for fantasy updates).
   /// Default: extends the Cholesky factor in O(n^2), falling back to a full
@@ -95,11 +102,13 @@ class GaussianProcess {
   runtime::ThreadPool* pool_ = nullptr;
   std::vector<linalg::Vector> inputs_;
   std::vector<double> targets_;
-  // Posterior cache: K + sigma^2 I (+ jitter I) = L L^T,
-  // alpha = (K + sigma^2 I)^{-1} y, jitter_ = the jitter L absorbed.
-  std::optional<linalg::Matrix> chol_;
+  // Posterior cache: K + sigma^2 I (+ jitter I) = L L^T (empty with no
+  // data), alpha = (K + sigma^2 I)^{-1} y, jitter_ = the jitter L absorbed.
+  linalg::Matrix chol_;
   linalg::Vector alpha_;
   double jitter_ = 0.0;
+  // Refit scratch: K + sigma^2 I, rebuilt in place by every refit.
+  linalg::Matrix gram_;
 };
 
 }  // namespace bofl::gp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/optim.hpp"
@@ -123,11 +124,19 @@ std::vector<HyperoptResult> fit_hyperparameters(
     Run& run = runs[r];
     const HyperoptProblem& problem = problems[run.problem];
     const ParamCodec& codec = codecs[run.problem];
+    // One GP per run: the first evaluation conditions it on the data, every
+    // later one refits it in place under the new hyperparameters.
+    std::optional<GaussianProcess> model;
     auto negative_lml = [&](const std::vector<double>& p) -> double {
-      GaussianProcess model(codec.decode_kernel(problem.family, p),
-                            codec.decode_noise(p));
-      model.condition(problem.inputs, problem.targets);
-      return -model.log_marginal_likelihood();
+      Kernel kernel = codec.decode_kernel(problem.family, p);
+      const double noise = codec.decode_noise(p);
+      if (model.has_value()) {
+        model->set_hyperparameters(std::move(kernel), noise);
+      } else {
+        model.emplace(std::move(kernel), noise);
+        model->condition(problem.inputs, problem.targets);
+      }
+      return -model->log_marginal_likelihood();
     };
     run.result = nelder_mead(negative_lml, run.start,
                              problem.warm_start != nullptr ? warm_nm : full_nm);

@@ -52,8 +52,8 @@ Kernel::Kernel(KernelFamily family, double signal_variance,
   }
 }
 
-linalg::Matrix Kernel::gram(const std::vector<linalg::Vector>& points,
-                            runtime::ThreadPool* pool) const {
+void Kernel::gram(const std::vector<linalg::Vector>& points,
+                  linalg::Matrix& out, runtime::ThreadPool* pool) const {
   const std::size_t n = points.size();
   const std::size_t dim = lengthscales_.size();
   std::vector<const double*> ptrs(n);
@@ -61,18 +61,18 @@ linalg::Matrix Kernel::gram(const std::vector<linalg::Vector>& points,
     BOFL_REQUIRE(points[i].size() == dim, "kernel input dimension mismatch");
     ptrs[i] = points[i].data();
   }
-  linalg::Matrix k(n, n);
+  out.assign(n, n);
   // Each row evaluates its strict upper triangle in one dispatched batch
-  // (the row's slots in k are contiguous), then mirrors below the diagonal.
+  // (the row's slots in out are contiguous), then mirrors below the diagonal.
   auto fill_row = [&](std::size_t i) {
-    k(i, i) = signal_variance_;
+    out(i, i) = signal_variance_;
     if (i + 1 < n) {
       linalg::simd::corr_row(to_corr(family_), ptrs[i], ptrs.data() + i + 1,
                              n - i - 1, lengthscales_.data(), dim,
-                             signal_variance_, k.row(i) + i + 1);
+                             signal_variance_, out.row(i) + i + 1);
     }
     for (std::size_t j = i + 1; j < n; ++j) {
-      k(j, i) = k(i, j);
+      out(j, i) = out(i, j);
     }
   };
   // Below ~48 points the n^2/2 kernel evaluations are cheaper than waking
@@ -85,7 +85,6 @@ linalg::Matrix Kernel::gram(const std::vector<linalg::Vector>& points,
       fill_row(i);
     }
   }
-  return k;
 }
 
 linalg::Vector Kernel::cross(const linalg::Vector& x,

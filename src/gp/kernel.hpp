@@ -47,12 +47,13 @@ class Kernel {
     return lengthscales_.size();
   }
 
-  /// Full covariance matrix of a point set (symmetric).  Large builds
-  /// (n >= 48) fan their rows out over `pool` when one is given; every
-  /// entry is written to its own slot, so the result is identical for any
-  /// pool size (including nullptr = serial).
-  [[nodiscard]] linalg::Matrix gram(const std::vector<linalg::Vector>& points,
-                                    runtime::ThreadPool* pool = nullptr) const;
+  /// Full covariance matrix of a point set (symmetric), written into `out`
+  /// (reshaped to n x n, its storage reused).  Large builds (n >= 48) fan
+  /// their rows out over `pool` when one is given; every entry is written
+  /// to its own slot, so the result is identical for any pool size
+  /// (including nullptr = serial).
+  void gram(const std::vector<linalg::Vector>& points, linalg::Matrix& out,
+            runtime::ThreadPool* pool = nullptr) const;
 
   /// Cross-covariance vector k(x, X) against a point set.  Entry i depends
   /// only on x and points[i], never on i or the set's size, and k is

@@ -1,5 +1,6 @@
 #include "ilp/branch_and_bound.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -13,11 +14,21 @@ namespace {
 /// Values within this distance of an integer are considered integral.
 constexpr double kIntegralityTolerance = 1e-6;
 
+/// No bound: the root of the branching tree.
+constexpr std::size_t kNoLink = static_cast<std::size_t>(-1);
+
+/// One branching decision on a node's path: its bound and the link of the
+/// node it was made at (kNoLink at the root).  Links live in one arena per
+/// solve, so a node is a bound, a lower bound and an index.
+struct PathLink {
+  VarBound bound;
+  std::size_t parent = kNoLink;
+};
+
 struct Node {
-  // Extra variable bounds accumulated along the branching path, encoded as
-  // plain constraints appended to the base problem.
-  std::vector<LpConstraint> extra;
   double lower_bound = -std::numeric_limits<double>::infinity();
+  // The last bound on the branching path (an index into the solve's arena).
+  std::size_t last_link = kNoLink;
 
   // Best-first: smaller LP bound explored first.
   friend bool operator<(const Node& a, const Node& b) {
@@ -39,20 +50,6 @@ std::size_t most_fractional(const std::vector<double>& x) {
   }
   return best;
 }
-
-LpConstraint bound_constraint(std::size_t var, std::size_t n, Relation rel,
-                              double rhs) {
-  LpConstraint c;
-  c.coefficients.assign(n, 0.0);
-  c.coefficients[var] = 1.0;
-  c.relation = rel;
-  c.rhs = rhs;
-  return c;
-}
-
-}  // namespace
-
-namespace {
 
 /// Check a candidate integral point against every constraint.
 bool is_feasible(const LpProblem& problem,
@@ -116,6 +113,11 @@ IlpSolution solve_ilp(const LpProblem& problem, const IlpOptions& options) {
     best.x = options.warm_start;
   }
 
+  // Per-solve storage: the arena of path links, the current node's bounds
+  // in root-to-leaf order and the simplex buffers, reused by every node.
+  std::vector<PathLink> links;
+  std::vector<VarBound> path;
+  LpWorkspace workspace;
   std::priority_queue<Node> open;
   open.push(Node{});
 
@@ -126,7 +128,7 @@ IlpSolution solve_ilp(const LpProblem& problem, const IlpOptions& options) {
       node_limit_hit = true;
       break;
     }
-    Node node = open.top();
+    const Node node = open.top();
     open.pop();
     const double prune_margin =
         std::max(1e-12, options.relative_gap * std::abs(incumbent));
@@ -135,10 +137,14 @@ IlpSolution solve_ilp(const LpProblem& problem, const IlpOptions& options) {
     }
     ++nodes;
 
-    LpProblem relaxation = problem;
-    relaxation.constraints.insert(relaxation.constraints.end(),
-                                  node.extra.begin(), node.extra.end());
-    const LpSolution lp = solve_lp(relaxation);
+    // The relaxation is the base problem with the path's bounds appended
+    // as rows, root first.
+    path.clear();
+    for (std::size_t l = node.last_link; l != kNoLink; l = links[l].parent) {
+      path.push_back(links[l].bound);
+    }
+    std::reverse(path.begin(), path.end());
+    const LpSolution& lp = workspace.solve(problem, path);
     if (lp.status == LpStatus::kInfeasible) {
       continue;
     }
@@ -162,19 +168,13 @@ IlpSolution solve_ilp(const LpProblem& problem, const IlpOptions& options) {
     }
 
     const double value = lp.x[branch_var];
-    Node down;
-    down.extra = node.extra;
-    down.extra.push_back(bound_constraint(branch_var, n, Relation::kLessEqual,
-                                          std::floor(value)));
-    down.lower_bound = lp.objective;
-    open.push(std::move(down));
-
-    Node up;
-    up.extra = node.extra;
-    up.extra.push_back(bound_constraint(branch_var, n, Relation::kGreaterEqual,
-                                        std::ceil(value)));
-    up.lower_bound = lp.objective;
-    open.push(std::move(up));
+    links.push_back(
+        {{branch_var, Relation::kLessEqual, std::floor(value)}, node.last_link});
+    open.push(Node{lp.objective, links.size() - 1});
+    links.push_back(
+        {{branch_var, Relation::kGreaterEqual, std::ceil(value)},
+         node.last_link});
+    open.push(Node{lp.objective, links.size() - 1});
   }
 
   best.nodes_explored = nodes;

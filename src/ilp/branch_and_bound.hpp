@@ -2,8 +2,9 @@
 //
 // All variables are required to be non-negative integers.  The solver
 // performs best-first branch and bound: each node's LP relaxation gives a
-// lower bound; a fractional variable is branched into floor/ceil children
-// by appending bound constraints.  The paper's exploitation step (§4.4)
+// lower bound; a fractional variable is branched into floor/ceil children,
+// each carrying one more single-variable bound (ilp::VarBound) that the
+// node's relaxation appends as a row.  The paper's exploitation step (§4.4)
 // names exactly this algorithm family ("we solve the ILP problem with
 // branch-and-bound").
 #pragma once

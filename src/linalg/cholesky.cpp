@@ -23,12 +23,25 @@ inline DotFn pick_dot() {
                                                     : simd::dot_blocked_scalar;
 }
 
-}  // namespace
+/// Forward substitution L x = b in place: `x` holds b on entry.  Row i
+/// reads only the solved prefix x[0..i) and its own entry, so no separate
+/// right-hand side is needed.
+void solve_lower_in_place(const Matrix& l, Vector& x) {
+  const std::size_t n = x.size();
+  const DotFn dot_n = pick_dot();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = l.row(i);
+    x[i] = (x[i] - dot_n(li, x.data(), i)) / li[i];
+  }
+}
 
-std::optional<Matrix> cholesky(const Matrix& a) {
+/// Factor a + shift * I into l.  The shift is added to each diagonal entry
+/// before its reduction, as the jittered copy of `a` used to hold it; a zero
+/// shift leaves every value a factorization can accept unchanged.
+bool cholesky_shifted(const Matrix& a, double shift, Matrix& l) {
   BOFL_REQUIRE(a.rows() == a.cols(), "cholesky needs a square matrix");
   const std::size_t n = a.rows();
-  Matrix l(n, n, 0.0);
+  l.assign(n, n, 0.0);
   // Cholesky–Banachiewicz (row-by-row): every inner reduction is a dot of
   // two contiguous row prefixes, so the whole factorization streams
   // unit-stride through the row-major storage.
@@ -40,32 +53,37 @@ std::optional<Matrix> cholesky(const Matrix& a) {
       const double* lj = l.row(j);
       li[j] = (ai[j] - dot_n(li, lj, j)) / lj[j];
     }
-    const double diag = ai[i] - dot_n(li, li, i);
+    const double diag = (ai[i] + shift) - dot_n(li, li, i);
     if (diag <= 0.0 || !std::isfinite(diag)) {
-      return std::nullopt;
+      return false;
     }
     li[i] = std::sqrt(diag);
   }
-  return l;
+  return true;
 }
 
-JitteredCholesky cholesky_with_jitter(const Matrix& a, double initial_jitter,
-                                      double max_jitter) {
+}  // namespace
+
+bool cholesky(const Matrix& a, Matrix& l) {
+  return cholesky_shifted(a, 0.0, l);
+}
+
+double cholesky_with_jitter(const Matrix& a, Matrix& l, double initial_jitter,
+                            double max_jitter) {
   BOFL_REQUIRE(initial_jitter > 0.0 && initial_jitter <= max_jitter,
                "need 0 < initial_jitter <= max_jitter");
-  if (auto l = cholesky(a)) {
-    return {std::move(*l), 0.0};
+  if (cholesky(a, l)) {
+    return 0.0;
   }
   for (double jitter = initial_jitter; jitter <= max_jitter; jitter *= 10.0) {
-    Matrix jittered = a;
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      jittered(i, i) += jitter;
-    }
-    if (auto l = cholesky(jittered)) {
-      return {std::move(*l), jitter};
+    if (cholesky_shifted(a, jitter, l)) {
+      return jitter;
     }
   }
-  BOFL_ASSERT(false, "matrix not positive definite even with maximal jitter");
+  // [[noreturn]], so unlike BOFL_ASSERT(false, ...) no -O0 build warns.
+  detail::throw_assert_failure(
+      "jitter <= max_jitter",
+      "matrix not positive definite even with maximal jitter");
 }
 
 std::optional<Matrix> cholesky_append_row(const Matrix& l, const Vector& cross,
@@ -105,13 +123,8 @@ std::optional<Matrix> cholesky_append_row(const Matrix& l, const Vector& cross,
 Vector solve_lower(const Matrix& l, const Vector& b) {
   BOFL_REQUIRE(l.rows() == l.cols() && l.rows() == b.size(),
                "solve_lower shape mismatch");
-  const std::size_t n = b.size();
-  Vector x(n);
-  const DotFn dot_n = pick_dot();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* li = l.row(i);
-    x[i] = (b[i] - dot_n(li, x.data(), i)) / li[i];
-  }
+  Vector x = b;
+  solve_lower_in_place(l, x);
   return x;
 }
 
@@ -128,23 +141,25 @@ Matrix solve_lower_multi(const Matrix& l, const Matrix& b) {
   return x;
 }
 
-Vector solve_lower_transpose(const Matrix& l, const Vector& b) {
-  BOFL_REQUIRE(l.rows() == l.cols() && l.rows() == b.size(),
+void solve_lower_transpose_in_place(const Matrix& l, Vector& x) {
+  BOFL_REQUIRE(l.rows() == l.cols() && l.rows() == x.size(),
                "solve_lower_transpose shape mismatch");
-  const std::size_t n = b.size();
-  Vector x(n);
+  const std::size_t n = x.size();
   for (std::size_t ii = n; ii-- > 0;) {
-    double sum = b[ii];
+    double sum = x[ii];
     for (std::size_t j = ii + 1; j < n; ++j) {
       sum -= l(j, ii) * x[j];
     }
     x[ii] = sum / l(ii, ii);
   }
-  return x;
 }
 
-Vector solve_cholesky(const Matrix& l, const Vector& b) {
-  return solve_lower_transpose(l, solve_lower(l, b));
+void solve_cholesky(const Matrix& l, const Vector& b, Vector& x) {
+  BOFL_REQUIRE(l.rows() == l.cols() && l.rows() == b.size(),
+               "solve_cholesky shape mismatch");
+  x.assign(b.begin(), b.end());
+  solve_lower_in_place(l, x);
+  solve_lower_transpose_in_place(l, x);
 }
 
 double log_det_from_cholesky(const Matrix& l) {

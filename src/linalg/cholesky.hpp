@@ -3,7 +3,9 @@
 // The GP layer conditions on observations through K = L L^T.  Kernel
 // matrices can be numerically semi-definite when observations nearly
 // coincide, so `cholesky_with_jitter` retries with geometrically increasing
-// diagonal jitter — the standard GP-library recipe.
+// diagonal jitter — the standard GP-library recipe.  The factorizations
+// and the Cholesky solve write into caller-owned storage, so a caller that
+// refits many times (the hyperparameter search) allocates only once.
 #pragma once
 
 #include <optional>
@@ -12,21 +14,20 @@
 
 namespace bofl::linalg {
 
-/// Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
-/// Returns std::nullopt if the matrix is not (numerically) positive definite.
-[[nodiscard]] std::optional<Matrix> cholesky(const Matrix& a);
+/// Lower-triangular Cholesky factor of a symmetric positive-definite matrix,
+/// written into `l` (reshaped to a's size, its storage reused; the strict
+/// upper triangle is zero).  Returns false if the matrix is not
+/// (numerically) positive definite; `l` then holds no usable factor.
+[[nodiscard]] bool cholesky(const Matrix& a, Matrix& l);
 
-struct JitteredCholesky {
-  Matrix l;            ///< lower-triangular factor of (a + jitter * I)
-  double jitter = 0.0; ///< the jitter that was actually applied
-};
-
-/// Cholesky with escalating diagonal jitter: tries jitter values
-/// 0, j0, 10*j0, ... up to `max_jitter`.  Throws InternalError if even the
-/// largest jitter fails (which indicates a structurally broken matrix).
-[[nodiscard]] JitteredCholesky cholesky_with_jitter(const Matrix& a,
-                                                    double initial_jitter = 1e-10,
-                                                    double max_jitter = 1e-2);
+/// Cholesky with escalating diagonal jitter: factors a + jitter * I into `l`
+/// for jitter values 0, j0, 10*j0, ... up to `max_jitter` and returns the
+/// first jitter that factors; `a` itself is never copied or changed.
+/// Throws InternalError if even the largest jitter fails (which indicates a
+/// structurally broken matrix).
+[[nodiscard]] double cholesky_with_jitter(const Matrix& a, Matrix& l,
+                                          double initial_jitter = 1e-10,
+                                          double max_jitter = 1e-2);
 
 /// Rank-1 extension of a Cholesky factor: given the n x n factor L of A,
 /// the cross-covariance column `cross` = A'[0..n, n] and the new diagonal
@@ -49,11 +50,13 @@ struct JitteredCholesky {
 /// get posterior variances for a whole candidate block at once.
 [[nodiscard]] Matrix solve_lower_multi(const Matrix& l, const Matrix& b);
 
-/// Solve L^T x = b with L lower triangular (backward substitution).
-[[nodiscard]] Vector solve_lower_transpose(const Matrix& l, const Vector& b);
+/// Solve L^T x = b with L lower triangular (backward substitution) in
+/// place: `x` holds b on entry and the solution on exit.
+void solve_lower_transpose_in_place(const Matrix& l, Vector& x);
 
-/// Solve (L L^T) x = b given the Cholesky factor L.
-[[nodiscard]] Vector solve_cholesky(const Matrix& l, const Vector& b);
+/// Solve (L L^T) x = b given the Cholesky factor L, into `x` (resized, its
+/// storage reused).
+void solve_cholesky(const Matrix& l, const Vector& b, Vector& x);
 
 /// log det(L L^T) = 2 * sum_i log L_ii, given the Cholesky factor L.
 [[nodiscard]] double log_det_from_cholesky(const Matrix& l);

@@ -27,6 +27,10 @@ class Matrix {
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
 
+  /// Reshape to rows x cols with every entry `fill`, reusing the storage
+  /// when it is large enough (the GP refits write into matrices this way).
+  void assign(std::size_t rows, std::size_t cols, double fill = 0.0);
+
   [[nodiscard]] double& operator()(std::size_t r, std::size_t c) {
     return data_[r * cols_ + c];
   }

@@ -2,12 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
+#include "linalg/simd/dispatch.hpp"
 
 namespace bofl::gp {
 namespace {
+
+/// Pins the dispatch level for a scope and restores the ambient level on exit.
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(linalg::simd::Level level)
+      : previous_(linalg::simd::active_level()) {
+    linalg::simd::force_level(level);
+  }
+  ~ScopedSimdLevel() { linalg::simd::force_level(previous_); }
+
+ private:
+  linalg::simd::Level previous_;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 Kernel default_kernel() {
   return {KernelFamily::kMatern52, 1.0, {0.3}};
@@ -170,6 +188,86 @@ TEST(GaussianProcess, PredictBlockMatchesPerPointPrediction) {
     EXPECT_NEAR(block[j].mean, ref.mean, 1e-12);
     EXPECT_NEAR(block[j].variance, ref.variance, 1e-12);
   }
+}
+
+// One GP refit in place through a sequence of hyperparameters must equal,
+// bit for bit, a fresh GP conditioned under each of them: the reused Gram,
+// factor and alpha storage carries nothing from one fit into the next.  The
+// last data sets are near-duplicate points, with noise at the search's 1e-8
+// floor and with none, so the jitter ladder runs too.
+TEST(GaussianProcess, InPlaceRefitMatchesFreshFit) {
+  std::vector<linalg::simd::Level> levels{linalg::simd::Level::kScalar};
+  if (linalg::simd::avx2_compiled() && linalg::simd::cpu_supports_avx2()) {
+    levels.push_back(linalg::simd::Level::kAvx2);
+  }
+  bool saw_jitter = false;
+  for (const linalg::simd::Level level : levels) {
+    const ScopedSimdLevel pinned(level);
+    Rng rng(2024);
+    for (const KernelFamily family : {KernelFamily::kMatern52,
+                                      KernelFamily::kMatern32,
+                                      KernelFamily::kRbf}) {
+      for (std::size_t n = 1; n <= 70; ++n) {
+        const bool near_duplicates = n > 60;
+        std::vector<linalg::Vector> xs;
+        std::vector<double> ys;
+        const linalg::Vector centre{rng.uniform(), rng.uniform()};
+        for (std::size_t i = 0; i < n; ++i) {
+          xs.push_back(near_duplicates
+                           ? linalg::Vector{centre[0] + 1e-9 * rng.uniform(),
+                                            centre[1]}
+                           : linalg::Vector{rng.uniform(), rng.uniform()});
+          ys.push_back(rng.normal());
+        }
+        std::vector<linalg::Vector> queries;
+        for (int q = 0; q < 5; ++q) {
+          queries.push_back({rng.uniform(), rng.uniform()});
+        }
+        const std::size_t indices[] = {4, 0, 2, 1, 3};
+
+        GaussianProcess refit(Kernel(family, 1.0, {0.4, 0.4}), 1e-3);
+        refit.condition(xs, ys);
+        for (int step = 0; step < 4; ++step) {
+          const Kernel kernel(family, rng.uniform(1e-2, 1e2),
+                              {rng.uniform(0.02, 10.0), rng.uniform(0.02, 10.0)});
+          const double noise = near_duplicates ? (step % 2 == 0 ? 1e-8 : 0.0)
+                                               : rng.uniform(1e-8, 1e-1);
+          refit.set_hyperparameters(kernel, noise);
+          GaussianProcess fresh(kernel, noise);
+          fresh.condition(xs, ys);
+          saw_jitter = saw_jitter || refit.jitter() > 0.0;
+
+          ASSERT_EQ(bits(refit.jitter()), bits(fresh.jitter()));
+          ASSERT_EQ(bits(refit.log_marginal_likelihood()),
+                    bits(fresh.log_marginal_likelihood()))
+              << to_string(family) << " n=" << n << " step " << step;
+          std::vector<linalg::Vector> rows;
+          for (const linalg::Vector& q : queries) {
+            rows.push_back(kernel.cross(q, xs));
+          }
+          Prediction got[5];
+          Prediction want[5];
+          refit.predict_block(rows, indices, 5, got);
+          fresh.predict_block(rows, indices, 5, want);
+          for (int j = 0; j < 5; ++j) {
+            ASSERT_EQ(bits(got[j].mean), bits(want[j].mean));
+            ASSERT_EQ(bits(got[j].variance), bits(want[j].variance));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_jitter);
+}
+
+TEST(GaussianProcess, SetHyperparametersRejectsDimensionChange) {
+  GaussianProcess gp(default_kernel(), 1e-6);
+  gp.condition({{0.2}, {0.7}}, {1.0, -1.0});
+  EXPECT_THROW(gp.set_hyperparameters({KernelFamily::kRbf, 1.0, {0.3, 0.3}},
+                                      1e-6),
+               std::invalid_argument);
+  EXPECT_THROW(gp.set_hyperparameters(default_kernel(), -1.0),
+               std::invalid_argument);
 }
 
 TEST(GaussianProcess, PredictBlockOnPriorReturnsPrior) {

@@ -160,12 +160,16 @@ TEST(Kernel, GramFromAPoolWorkerIsBitwiseEqualToSerial) {
     points.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
   }
 
-  const linalg::Matrix serial = k.gram(points);
+  linalg::Matrix serial;
+  k.gram(points, serial);
   runtime::ThreadPool pool(4);
-  const linalg::Matrix parallel = k.gram(points, &pool);
+  linalg::Matrix parallel;
+  k.gram(points, parallel, &pool);
   linalg::Matrix from_worker = pool.submit([&]() {
     EXPECT_TRUE(pool.on_worker_thread());
-    return k.gram(points, &pool);  // a region nested in a submitted task
+    linalg::Matrix out;
+    k.gram(points, out, &pool);  // a region nested in a submitted task
+    return out;
   }).get();
 
   ASSERT_EQ(serial.rows(), points.size());
@@ -188,11 +192,13 @@ TEST_P(KernelPsd, GramIsPositiveSemiDefinite) {
   for (int i = 0; i < 25; ++i) {
     points.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
   }
-  linalg::Matrix gram = k.gram(points);
+  linalg::Matrix gram;
+  k.gram(points, gram);
   for (std::size_t i = 0; i < points.size(); ++i) {
     gram(i, i) += 1e-9;
   }
-  EXPECT_TRUE(linalg::cholesky(gram).has_value())
+  linalg::Matrix l;
+  EXPECT_TRUE(linalg::cholesky(gram, l))
       << to_string(GetParam());
 }
 

@@ -27,23 +27,26 @@ Matrix random_spd(std::size_t n, Rng& rng) {
 
 TEST(Cholesky, KnownFactorization) {
   const Matrix a{{4.0, 12.0, -16.0}, {12.0, 37.0, -43.0}, {-16.0, -43.0, 98.0}};
-  const auto l = cholesky(a);
-  ASSERT_TRUE(l.has_value());
-  EXPECT_DOUBLE_EQ((*l)(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ((*l)(1, 0), 6.0);
-  EXPECT_DOUBLE_EQ((*l)(1, 1), 1.0);
-  EXPECT_DOUBLE_EQ((*l)(2, 0), -8.0);
-  EXPECT_DOUBLE_EQ((*l)(2, 1), 5.0);
-  EXPECT_DOUBLE_EQ((*l)(2, 2), 3.0);
+  Matrix l;
+  ASSERT_TRUE(cholesky(a, l));
+  EXPECT_DOUBLE_EQ(l(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(l(1, 0), 6.0);
+  EXPECT_DOUBLE_EQ(l(1, 1), 1.0);
+  EXPECT_DOUBLE_EQ(l(2, 0), -8.0);
+  EXPECT_DOUBLE_EQ(l(2, 1), 5.0);
+  EXPECT_DOUBLE_EQ(l(2, 2), 3.0);
+  EXPECT_EQ(l(0, 1), 0.0);
+  EXPECT_EQ(l(0, 2), 0.0);
+  EXPECT_EQ(l(1, 2), 0.0);
 }
 
 TEST(Cholesky, ReconstructsOriginal) {
   Rng rng(5);
   for (int trial = 0; trial < 10; ++trial) {
     const Matrix a = random_spd(6, rng);
-    const auto l = cholesky(a);
-    ASSERT_TRUE(l.has_value());
-    const Matrix rebuilt = (*l) * l->transposed();
+    Matrix l;
+    ASSERT_TRUE(cholesky(a, l));
+    const Matrix rebuilt = l * l.transposed();
     for (std::size_t r = 0; r < 6; ++r) {
       for (std::size_t c = 0; c < 6; ++c) {
         EXPECT_NEAR(rebuilt(r, c), a(r, c), 1e-9);
@@ -54,18 +57,23 @@ TEST(Cholesky, ReconstructsOriginal) {
 
 TEST(Cholesky, RejectsIndefinite) {
   const Matrix a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3 and -1
-  EXPECT_FALSE(cholesky(a).has_value());
+  Matrix l;
+  EXPECT_FALSE(cholesky(a, l));
 }
 
 TEST(Cholesky, RejectsNonSquare) {
-  EXPECT_THROW((void)cholesky(Matrix(2, 3)), std::invalid_argument);
+  Matrix l;
+  EXPECT_THROW((void)cholesky(Matrix(2, 3), l), std::invalid_argument);
 }
 
 TEST(CholeskyJitter, NoJitterWhenHealthy) {
   Rng rng(7);
   const Matrix a = random_spd(4, rng);
-  const JitteredCholesky jc = cholesky_with_jitter(a);
-  EXPECT_EQ(jc.jitter, 0.0);
+  Matrix l;
+  EXPECT_EQ(cholesky_with_jitter(a, l), 0.0);
+  Matrix plain;
+  ASSERT_TRUE(cholesky(a, plain));
+  EXPECT_EQ(l.data(), plain.data());
 }
 
 TEST(CholeskyJitter, RepairsSemiDefinite) {
@@ -77,18 +85,26 @@ TEST(CholeskyJitter, RepairsSemiDefinite) {
       a(r, c) = v[r] * v[c];
     }
   }
-  const JitteredCholesky jc = cholesky_with_jitter(a);
-  EXPECT_GT(jc.jitter, 0.0);
-  // The factor must reproduce a + jitter * I.
-  const Matrix rebuilt = jc.l * jc.l.transposed();
+  Matrix l;
+  const double jitter = cholesky_with_jitter(a, l);
+  EXPECT_GT(jitter, 0.0);
+  // The factor must reproduce a + jitter * I, bit for bit the factor of an
+  // explicitly jittered copy.
+  const Matrix rebuilt = l * l.transposed();
+  Matrix jittered = a;
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(rebuilt(i, i), a(i, i) + jc.jitter, 1e-8);
+    EXPECT_NEAR(rebuilt(i, i), a(i, i) + jitter, 1e-8);
+    jittered(i, i) += jitter;
   }
+  Matrix reference;
+  ASSERT_TRUE(cholesky(jittered, reference));
+  EXPECT_EQ(l.data(), reference.data());
 }
 
 TEST(CholeskyJitter, ThrowsOnStructurallyBroken) {
   Matrix a{{-5.0, 0.0}, {0.0, -5.0}};
-  EXPECT_THROW((void)cholesky_with_jitter(a, 1e-10, 1e-4), InternalError);
+  Matrix l;
+  EXPECT_THROW((void)cholesky_with_jitter(a, l, 1e-10, 1e-4), InternalError);
 }
 
 TEST(CholeskyAppendRow, MatchesFullFactorization) {
@@ -105,15 +121,15 @@ TEST(CholeskyAppendRow, MatchesFullFactorization) {
         leading(r, c) = full(r, c);
       }
     }
-    const auto l0 = cholesky(leading);
-    ASSERT_TRUE(l0.has_value());
-    const auto appended = cholesky_append_row(*l0, cross, full(n - 1, n - 1));
+    Matrix l0;
+    ASSERT_TRUE(cholesky(leading, l0));
+    const auto appended = cholesky_append_row(l0, cross, full(n - 1, n - 1));
     ASSERT_TRUE(appended.has_value());
-    const auto reference = cholesky(full);
-    ASSERT_TRUE(reference.has_value());
+    Matrix reference;
+    ASSERT_TRUE(cholesky(full, reference));
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t c = 0; c <= r; ++c) {
-        EXPECT_NEAR((*appended)(r, c), (*reference)(r, c), 1e-9);
+        EXPECT_NEAR((*appended)(r, c), reference(r, c), 1e-9);
       }
     }
   }
@@ -137,24 +153,25 @@ TEST(CholeskyAppendRow, ExtendsJitteredFactor) {
       a(r, c) = v[r] * v[c];
     }
   }
-  const JitteredCholesky jc = cholesky_with_jitter(a);
-  ASSERT_GT(jc.jitter, 0.0);
+  Matrix base;
+  const double jitter = cholesky_with_jitter(a, base);
+  ASSERT_GT(jitter, 0.0);
   // Append an independent direction: cross = 0, diag = 2 + jitter.
-  const auto l = cholesky_append_row(jc.l, {0.0, 0.0, 0.0}, 2.0 + jc.jitter);
+  const auto l = cholesky_append_row(base, {0.0, 0.0, 0.0}, 2.0 + jitter);
   ASSERT_TRUE(l.has_value());
   const Matrix rebuilt = (*l) * l->transposed();
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(rebuilt(i, i), a(i, i) + jc.jitter, 1e-8);
+    EXPECT_NEAR(rebuilt(i, i), a(i, i) + jitter, 1e-8);
   }
-  EXPECT_NEAR(rebuilt(3, 3), 2.0 + jc.jitter, 1e-12);
+  EXPECT_NEAR(rebuilt(3, 3), 2.0 + jitter, 1e-12);
   EXPECT_NEAR(rebuilt(3, 0), 0.0, 1e-12);
 }
 
 TEST(CholeskyAppendRow, RejectsNearSingularRow) {
   Rng rng(23);
   const Matrix a = random_spd(4, rng);
-  const auto l = cholesky(a);
-  ASSERT_TRUE(l.has_value());
+  Matrix l;
+  ASSERT_TRUE(cholesky(a, l));
   // Appending an exact copy of row 2 (diag = a(2,2)) makes the bordered
   // matrix singular: the O(n^2) update must refuse rather than emit a
   // catastrophically cancelled sqrt.
@@ -162,7 +179,7 @@ TEST(CholeskyAppendRow, RejectsNearSingularRow) {
   for (std::size_t i = 0; i < 4; ++i) {
     cross[i] = a(i, 2);
   }
-  EXPECT_FALSE(cholesky_append_row(*l, cross, a(2, 2)).has_value());
+  EXPECT_FALSE(cholesky_append_row(l, cross, a(2, 2)).has_value());
 }
 
 TEST(CholeskyAppendRow, RejectsShapeMismatch) {
@@ -184,22 +201,22 @@ TEST(CholeskyAppendRow, RepeatedAppendsTrackFullFactorization) {
       leading(r, c) = full(r, c);
     }
   }
-  auto incremental = cholesky(leading);
-  ASSERT_TRUE(incremental.has_value());
+  Matrix incremental;
+  ASSERT_TRUE(cholesky(leading, incremental));
   for (std::size_t k = 3; k < n; ++k) {
     Vector cross(k);
     for (std::size_t i = 0; i < k; ++i) {
       cross[i] = full(i, k);
     }
-    auto extended = cholesky_append_row(*incremental, cross, full(k, k));
+    auto extended = cholesky_append_row(incremental, cross, full(k, k));
     ASSERT_TRUE(extended.has_value());
-    incremental = std::move(extended);
+    incremental = std::move(*extended);
   }
-  const auto reference = cholesky(full);
-  ASSERT_TRUE(reference.has_value());
+  Matrix reference;
+  ASSERT_TRUE(cholesky(full, reference));
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t c = 0; c <= r; ++c) {
-      EXPECT_NEAR((*incremental)(r, c), (*reference)(r, c), 1e-8);
+      EXPECT_NEAR(incremental(r, c), reference(r, c), 1e-8);
     }
   }
 }
@@ -207,8 +224,8 @@ TEST(CholeskyAppendRow, RepeatedAppendsTrackFullFactorization) {
 TEST(SolveLowerMulti, MatchesPerColumnSolves) {
   Rng rng(41);
   const Matrix a = random_spd(7, rng);
-  const auto l = cholesky(a);
-  ASSERT_TRUE(l.has_value());
+  Matrix l;
+  ASSERT_TRUE(cholesky(a, l));
   const std::size_t m = 5;
   Matrix b(7, m);
   for (std::size_t r = 0; r < 7; ++r) {
@@ -216,13 +233,13 @@ TEST(SolveLowerMulti, MatchesPerColumnSolves) {
       b(r, c) = rng.normal();
     }
   }
-  const Matrix x = solve_lower_multi(*l, b);
+  const Matrix x = solve_lower_multi(l, b);
   for (std::size_t c = 0; c < m; ++c) {
     Vector col(7);
     for (std::size_t r = 0; r < 7; ++r) {
       col[r] = b(r, c);
     }
-    const Vector ref = solve_lower(*l, col);
+    const Vector ref = solve_lower(l, col);
     for (std::size_t r = 0; r < 7; ++r) {
       EXPECT_NEAR(x(r, c), ref[r], 1e-12);
     }
@@ -237,10 +254,11 @@ TEST(SolveLowerMulti, RejectsShapeMismatch) {
 
 TEST(TriangularSolve, ForwardAndBackward) {
   const Matrix a{{4.0, 12.0, -16.0}, {12.0, 37.0, -43.0}, {-16.0, -43.0, 98.0}};
-  const auto l = cholesky(a);
-  ASSERT_TRUE(l.has_value());
+  Matrix l;
+  ASSERT_TRUE(cholesky(a, l));
   const Vector b{1.0, 2.0, 3.0};
-  const Vector x = solve_cholesky(*l, b);
+  Vector x;
+  solve_cholesky(l, b, x);
   const Vector should_be_b = a * x;
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(should_be_b[i], b[i], 1e-9);
@@ -253,7 +271,8 @@ TEST(TriangularSolve, LowerThenTransposeRoundTrip) {
   const Vector y = solve_lower(l, b);
   EXPECT_DOUBLE_EQ(y[0], 2.0);
   EXPECT_DOUBLE_EQ(y[1], 8.0 / 3.0);
-  const Vector z = solve_lower_transpose(l, b);
+  Vector z = b;
+  solve_lower_transpose_in_place(l, z);
   // L^T z = b -> z1 = (4 - 1*z2)/2 with z2 = 10/3.
   EXPECT_NEAR(z[1], 10.0 / 3.0, 1e-12);
   EXPECT_NEAR(z[0], (4.0 - z[1]) / 2.0, 1e-12);
@@ -261,9 +280,9 @@ TEST(TriangularSolve, LowerThenTransposeRoundTrip) {
 
 TEST(LogDet, MatchesDirectDeterminant) {
   const Matrix a{{4.0, 2.0}, {2.0, 3.0}};  // det = 8
-  const auto l = cholesky(a);
-  ASSERT_TRUE(l.has_value());
-  EXPECT_NEAR(log_det_from_cholesky(*l), std::log(8.0), 1e-12);
+  Matrix l;
+  ASSERT_TRUE(cholesky(a, l));
+  EXPECT_NEAR(log_det_from_cholesky(l), std::log(8.0), 1e-12);
 }
 
 // Property sweep: solve_cholesky inverts multiplication for random SPD
@@ -278,9 +297,10 @@ TEST_P(CholeskySolveProperty, SolvesRandomSystems) {
   for (double& v : b) {
     v = rng.normal();
   }
-  const auto l = cholesky(a);
-  ASSERT_TRUE(l.has_value());
-  const Vector x = solve_cholesky(*l, b);
+  Matrix l;
+  ASSERT_TRUE(cholesky(a, l));
+  Vector x;
+  solve_cholesky(l, b, x);
   const Vector back = a * x;
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(back[i], b[i], 1e-8);
